@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
@@ -19,7 +20,10 @@ func FuzzRead(f *testing.F) {
 		return buf.Bytes()
 	}
 	framed := mk(func(t *Trace, b *bytes.Buffer) error { return t.Write(b) })
-	legacy := mk(func(t *Trace, b *bytes.Buffer) error { return t.WriteLegacy(b) })
+	legacy, err := os.ReadFile("testdata/v2.actt")
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(framed)
 	f.Add(legacy)
 	f.Add(framed[:len(framed)/2])

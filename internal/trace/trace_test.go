@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,14 +108,16 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestLegacyRoundTrip reads plain-format (version 2) bytes checked in
+// from the writer that produced them before the format became
+// read-only; they must still decode to the literal trace they encode.
 func TestLegacyRoundTrip(t *testing.T) {
-	p := sampleProgram()
-	tr, _ := Collect(p, vm.SchedConfig{Seed: 3})
-	var buf bytes.Buffer
-	if err := tr.WriteLegacy(&buf); err != nil {
+	tr := goldenTrace()
+	data, err := os.ReadFile("testdata/v2.actt")
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := ReadReport(&buf)
+	got, rep, err := ReadReport(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
