@@ -244,7 +244,7 @@ func Pipeline(m Mode) (*PipelineReport, error) {
 
 // measureCkptOverhead fills the ckpt_* report fields: the best-observed
 // cost of producing one complete checkpoint image (EncodeCheckpoint of a
-// fully-replayed tracker plus the atomic fsync'd WriteFile) divided by
+// fully-replayed tracker plus the atomic fsync'd WriteCheckpoint) divided by
 // the wall time the sequential baseline spends replaying one default
 // checkpoint interval's worth of records. Taking the minimum of several
 // image samples mirrors the best-of-three rows: the assertion is about
@@ -267,7 +267,7 @@ func measureCkptOverhead(rep *PipelineReport, tr *trace.Trace, threads int) erro
 		if err != nil {
 			return err
 		}
-		if err := pipeline.WriteFile(path, img); err != nil {
+		if err := pipeline.WriteCheckpoint(path, img); err != nil {
 			return err
 		}
 		if d := time.Since(start); best == 0 || d < best {

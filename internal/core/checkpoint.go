@@ -1,6 +1,7 @@
 // Replay checkpoint state: export, restore, and the binary codec for
 // the ACTK sections a mid-trace checkpoint carries (see
-// internal/pipeline/checkpoint.go for the file framing).
+// internal/pipeline/checkpoint.go for the file framing; the section
+// payloads use internal/frame's encoder and decoder).
 //
 // A checkpoint captures everything that determines the remainder of a
 // replay: the record cursor, the extractor's last-writer table and
@@ -25,11 +26,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"act/internal/deps"
+	"act/internal/frame"
 	"act/internal/pipeline"
 	"act/internal/trace"
 )
@@ -235,105 +236,28 @@ func b2u64(b bool) uint64 {
 
 // --- binary codec ---------------------------------------------------
 
-// ckptAppender accumulates little-endian primitives.
-type ckptAppender struct{ b []byte }
-
-func (a *ckptAppender) u8(v byte)  { a.b = append(a.b, v) }
-func (a *ckptAppender) u16(v uint16) {
-	var t [2]byte
-	binary.LittleEndian.PutUint16(t[:], v)
-	a.b = append(a.b, t[:]...)
-}
-func (a *ckptAppender) u32(v uint32) {
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], v)
-	a.b = append(a.b, t[:]...)
-}
-func (a *ckptAppender) u64(v uint64) {
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], v)
-	a.b = append(a.b, t[:]...)
-}
-func (a *ckptAppender) f64(v float64) { a.u64(math.Float64bits(v)) }
-func (a *ckptAppender) dep(d deps.Dep) {
-	a.u64(d.S)
-	a.u64(d.L)
+func appendDep(w *frame.Encoder, d deps.Dep) {
+	w.U64(d.S)
+	w.U64(d.L)
 	var f byte
 	if d.Inter {
 		f = 1
 	}
-	a.u8(f)
+	w.U8(f)
 }
 
-// ckptReader consumes little-endian primitives with sticky error state:
-// after the first failure every read returns zero and the error
-// surfaces once at the end. Bounds are checked on every read, so
-// arbitrary (fuzzed) input can never index out of range.
-type ckptReader struct {
-	b   []byte
-	off int
-	err error
+func readDep(d *frame.Decoder) deps.Dep {
+	s, l := d.U64(), d.U64()
+	return deps.Dep{S: s, L: l, Inter: d.U8()&1 != 0}
 }
 
-func (r *ckptReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("core: checkpoint: "+format, args...)
+// finishSection returns a section decoder's failure, trailing bytes
+// included, naming the section.
+func finishSection(d *frame.Decoder, what string) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("core: checkpoint %s: %w", what, err)
 	}
-}
-
-func (r *ckptReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.b)-r.off < n {
-		r.fail("truncated at byte %d (want %d more)", r.off, n)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *ckptReader) u8() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-func (r *ckptReader) u16() uint16 {
-	if b := r.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-func (r *ckptReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-func (r *ckptReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-func (r *ckptReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *ckptReader) dep() deps.Dep {
-	s, l := r.u64(), r.u64()
-	return deps.Dep{S: s, L: l, Inter: r.u8()&1 != 0}
-}
-
-// count reads a u32 element count and bounds it: each element occupies
-// at least minSize encoded bytes, so a declared count the remaining
-// input cannot hold is corruption, caught before any allocation.
-func (r *ckptReader) count(minSize int) int {
-	n := int(r.u32())
-	if r.err == nil && n*minSize > len(r.b)-r.off {
-		r.fail("count %d exceeds remaining %d bytes", n, len(r.b)-r.off)
-		return 0
-	}
-	return n
+	return nil
 }
 
 // CheckpointHeader is the decoded header section: the identity of the
@@ -359,76 +283,69 @@ func (t *Tracker) header(tr *trace.Trace, cursor int) CheckpointHeader {
 }
 
 func encodeHeader(h CheckpointHeader) []byte {
-	var a ckptAppender
-	a.u16(ckptCodecVersion)
-	a.u64(h.Cursor)
-	a.u64(h.Records)
-	a.u64(h.TraceID)
-	a.u64(uint64(h.Seed))
-	a.u64(h.CfgFP)
-	a.u16(uint16(len(h.Program)))
-	a.b = append(a.b, h.Program...)
-	return a.b
+	var w frame.Encoder
+	w.U16(ckptCodecVersion)
+	w.U64(h.Cursor)
+	w.U64(h.Records)
+	w.U64(h.TraceID)
+	w.U64(uint64(h.Seed))
+	w.U64(h.CfgFP)
+	w.U16(uint16(len(h.Program)))
+	return append(w, h.Program...)
 }
 
 func decodeHeader(data []byte) (CheckpointHeader, error) {
-	r := ckptReader{b: data}
+	d := frame.NewDecoder(data)
 	var h CheckpointHeader
-	if v := r.u16(); r.err == nil && v != ckptCodecVersion {
+	if v := d.U16(); d.Err() == nil && v != ckptCodecVersion {
 		return h, fmt.Errorf("core: checkpoint codec version %d, want %d", v, ckptCodecVersion)
 	}
-	h.Cursor = r.u64()
-	h.Records = r.u64()
-	h.TraceID = r.u64()
-	h.Seed = int64(r.u64())
-	h.CfgFP = r.u64()
-	h.Program = string(r.take(int(r.u16())))
-	if r.err == nil && r.off != len(data) {
-		r.fail("%d trailing header bytes", len(data)-r.off)
-	}
-	return h, r.err
+	h.Cursor = d.U64()
+	h.Records = d.U64()
+	h.TraceID = d.U64()
+	h.Seed = int64(d.U64())
+	h.CfgFP = d.U64()
+	h.Program = string(d.Bytes(int(d.U16())))
+	return h, finishSection(&d, "header")
 }
 
 func encodeExtractor(st deps.ExtractorState) []byte {
-	var a ckptAppender
-	a.u64(st.Granularity)
-	a.u32(uint32(len(st.Windows)))
-	for _, w := range st.Windows {
-		a.u16(w.Tid)
-		a.u8(byte(len(w.Window)))
-		for _, d := range w.Window {
-			a.dep(d)
+	var w frame.Encoder
+	w.U64(st.Granularity)
+	w.U32(uint32(len(st.Windows)))
+	for _, win := range st.Windows {
+		w.U16(win.Tid)
+		w.U8(byte(len(win.Window)))
+		for _, dep := range win.Window {
+			appendDep(&w, dep)
 		}
 	}
-	a.u32(uint32(len(st.Writers)))
-	for _, w := range st.Writers {
-		a.u64(w.Granule)
-		a.u64(w.StorePC)
-		a.u16(w.Tid)
+	w.U32(uint32(len(st.Writers)))
+	for _, lw := range st.Writers {
+		w.U64(lw.Granule)
+		w.U64(lw.StorePC)
+		w.U16(lw.Tid)
 	}
-	return a.b
+	return w
 }
 
 func decodeExtractor(data []byte) (deps.ExtractorState, error) {
-	r := ckptReader{b: data}
-	st := deps.ExtractorState{Granularity: r.u64()}
-	nw := r.count(3) // tid + len, then per-dep bytes
-	for i := 0; i < nw && r.err == nil; i++ {
-		w := deps.WindowState{Tid: r.u16()}
-		nd := int(r.u8())
-		for j := 0; j < nd && r.err == nil; j++ {
-			w.Window = append(w.Window, r.dep())
+	d := frame.NewDecoder(data)
+	st := deps.ExtractorState{Granularity: d.U64()}
+	nw := d.Count(3) // tid + len, then per-dep bytes
+	for i := 0; i < nw && d.Err() == nil; i++ {
+		w := deps.WindowState{Tid: d.U16()}
+		nd := int(d.U8())
+		for j := 0; j < nd && d.Err() == nil; j++ {
+			w.Window = append(w.Window, readDep(&d))
 		}
 		st.Windows = append(st.Windows, w)
 	}
-	nl := r.count(18)
-	for i := 0; i < nl && r.err == nil; i++ {
-		st.Writers = append(st.Writers, deps.LastWriter{Granule: r.u64(), StorePC: r.u64(), Tid: r.u16()})
+	nl := d.Count(18)
+	for i := 0; i < nl && d.Err() == nil; i++ {
+		st.Writers = append(st.Writers, deps.LastWriter{Granule: d.U64(), StorePC: d.U64(), Tid: d.U16()})
 	}
-	if r.err == nil && r.off != len(data) {
-		r.fail("%d trailing extractor bytes", len(data)-r.off)
-	}
-	return st, r.err
+	return st, finishSection(&d, "extractor")
 }
 
 // encodeModule serializes one module state. Debug entries carry the
@@ -436,126 +353,122 @@ func decodeExtractor(data []byte) (deps.ExtractorState, error) {
 // deliberately drops — because a resumed run's reports must match the
 // uninterrupted run byte-for-byte.
 func encodeModule(st *ModuleState) []byte {
-	var a ckptAppender
-	a.u32(uint32(st.Tid))
-	a.u8(byte(st.Mode))
-	a.u64(st.Gen)
-	a.f64(st.LastRate)
-	a.u64(uint64(int64(st.Invalid)))
-	a.u64(uint64(int64(st.Window)))
-	a.u64(uint64(int64(st.SatWind)))
-	a.u64(uint64(int64(st.BadWind)))
+	var w frame.Encoder
+	w.U32(uint32(st.Tid))
+	w.U8(byte(st.Mode))
+	w.U64(st.Gen)
+	w.F64(st.LastRate)
+	w.U64(uint64(int64(st.Invalid)))
+	w.U64(uint64(int64(st.Window)))
+	w.U64(uint64(int64(st.SatWind)))
+	w.U64(uint64(int64(st.BadWind)))
 	for _, v := range [...]uint64{st.Stats.Deps, st.Stats.Sequences,
 		st.Stats.PredictedInvalid, st.Stats.Updates, st.Stats.ModeSwitches,
 		st.Stats.TrainingDeps, st.Stats.Snapshots, st.Stats.Recoveries,
 		st.Stats.CacheHits, st.Stats.CacheMisses} {
-		a.u64(v)
+		w.U64(v)
 	}
-	a.u32(uint32(len(st.Weights)))
+	w.U32(uint32(len(st.Weights)))
 	for _, v := range st.Weights {
-		a.f64(v)
+		w.F64(v)
 	}
 	if st.Snap == nil {
-		a.u8(0)
+		w.U8(0)
 	} else {
-		a.u8(1)
-		a.u32(uint32(len(st.Snap)))
+		w.U8(1)
+		w.U32(uint32(len(st.Snap)))
 		for _, v := range st.Snap {
-			a.f64(v)
+			w.F64(v)
 		}
 	}
-	a.u32(uint32(len(st.IGB)))
-	for _, d := range st.IGB {
-		a.dep(d)
+	w.U32(uint32(len(st.IGB)))
+	for _, dep := range st.IGB {
+		appendDep(&w, dep)
 	}
-	a.u8(byte(len(st.Traj)))
+	w.U8(byte(len(st.Traj)))
 	for _, v := range st.Traj {
-		a.f64(v)
+		w.F64(v)
 	}
-	a.u32(uint32(len(st.Debug)))
+	w.U32(uint32(len(st.Debug)))
 	for _, e := range st.Debug {
-		a.u16(e.Proc)
-		a.u64(e.At)
-		a.f64(e.Output)
-		a.u8(byte(e.Mode))
-		a.u8(byte(len(e.Seq)))
-		for _, d := range e.Seq {
-			a.dep(d)
+		w.U16(e.Proc)
+		w.U64(e.At)
+		w.F64(e.Output)
+		w.U8(byte(e.Mode))
+		w.U8(byte(len(e.Seq)))
+		for _, dep := range e.Seq {
+			appendDep(&w, dep)
 		}
-		a.u8(byte(len(e.Traj)))
+		w.U8(byte(len(e.Traj)))
 		for _, v := range e.Traj {
-			a.f64(v)
+			w.F64(v)
 		}
 	}
-	return a.b
+	return w
 }
 
 func decodeModule(data []byte) (ModuleState, error) {
-	r := ckptReader{b: data}
+	d := frame.NewDecoder(data)
 	var st ModuleState
-	st.Tid = int(r.u32())
-	st.Mode = Mode(r.u8())
-	st.Gen = r.u64()
-	st.LastRate = r.f64()
-	st.Invalid = int(int64(r.u64()))
-	st.Window = int(int64(r.u64()))
-	st.SatWind = int(int64(r.u64()))
-	st.BadWind = int(int64(r.u64()))
+	st.Tid = int(d.U32())
+	st.Mode = Mode(d.U8())
+	st.Gen = d.U64()
+	st.LastRate = d.F64()
+	st.Invalid = int(int64(d.U64()))
+	st.Window = int(int64(d.U64()))
+	st.SatWind = int(int64(d.U64()))
+	st.BadWind = int(int64(d.U64()))
 	var sv [10]uint64
 	for i := range sv {
-		sv[i] = r.u64()
+		sv[i] = d.U64()
 	}
 	st.Stats = Stats{Deps: sv[0], Sequences: sv[1], PredictedInvalid: sv[2],
 		Updates: sv[3], ModeSwitches: sv[4], TrainingDeps: sv[5],
 		Snapshots: sv[6], Recoveries: sv[7], CacheHits: sv[8], CacheMisses: sv[9]}
-	nw := r.count(8)
-	for i := 0; i < nw && r.err == nil; i++ {
-		st.Weights = append(st.Weights, r.f64())
+	nw := d.Count(8)
+	for i := 0; i < nw && d.Err() == nil; i++ {
+		st.Weights = append(st.Weights, d.F64())
 	}
-	if r.u8() != 0 {
-		ns := r.count(8)
+	if d.U8() != 0 {
+		ns := d.Count(8)
 		st.Snap = make([]float64, 0, ns)
-		for i := 0; i < ns && r.err == nil; i++ {
-			st.Snap = append(st.Snap, r.f64())
+		for i := 0; i < ns && d.Err() == nil; i++ {
+			st.Snap = append(st.Snap, d.F64())
 		}
 	}
-	ni := r.count(17)
-	for i := 0; i < ni && r.err == nil; i++ {
-		st.IGB = append(st.IGB, r.dep())
+	ni := d.Count(17)
+	for i := 0; i < ni && d.Err() == nil; i++ {
+		st.IGB = append(st.IGB, readDep(&d))
 	}
-	nt := int(r.u8())
+	nt := int(d.U8())
 	if nt > TrajDepth {
-		r.fail("trajectory of %d samples exceeds depth %d", nt, TrajDepth)
-		nt = 0
+		d.Fail(fmt.Errorf("trajectory of %d samples exceeds depth %d", nt, TrajDepth))
 	}
-	for i := 0; i < nt && r.err == nil; i++ {
-		st.Traj = append(st.Traj, r.f64())
+	for i := 0; i < nt && d.Err() == nil; i++ {
+		st.Traj = append(st.Traj, d.F64())
 	}
-	nd := r.count(1)
-	for i := 0; i < nd && r.err == nil; i++ {
+	nd := d.Count(1)
+	for i := 0; i < nd && d.Err() == nil; i++ {
 		var e DebugEntry
-		e.Proc = r.u16()
-		e.At = r.u64()
-		e.Output = r.f64()
-		e.Mode = Mode(r.u8())
-		ns := int(r.u8())
-		for j := 0; j < ns && r.err == nil; j++ {
-			e.Seq = append(e.Seq, r.dep())
+		e.Proc = d.U16()
+		e.At = d.U64()
+		e.Output = d.F64()
+		e.Mode = Mode(d.U8())
+		ns := int(d.U8())
+		for j := 0; j < ns && d.Err() == nil; j++ {
+			e.Seq = append(e.Seq, readDep(&d))
 		}
-		et := int(r.u8())
+		et := int(d.U8())
 		if et > TrajDepth {
-			r.fail("debug entry %d trajectory of %d samples", i, et)
+			d.Fail(fmt.Errorf("debug entry %d trajectory of %d samples", i, et))
 			break
 		}
-		for j := 0; j < et && r.err == nil; j++ {
-			e.Traj = append(e.Traj, r.f64())
+		for j := 0; j < et && d.Err() == nil; j++ {
+			e.Traj = append(e.Traj, d.F64())
 		}
 		st.Debug = append(st.Debug, e)
 	}
-	if r.err == nil && r.off != len(data) {
-		r.fail("%d trailing module bytes", len(data)-r.off)
-	}
-	return st, r.err
+	return st, finishSection(&d, "module")
 }
 
 // EncodeCheckpoint serializes the tracker's complete state as an ACTK

@@ -223,7 +223,7 @@ func TestReplayCheckpointedLenientOnCorruptFile(t *testing.T) {
 		return NewTracker(NewWeightBinary(nIn, 6), TrackerConfig{Module: Config{N: 2}, Seed: 1})
 	}
 	path := filepath.Join(t.TempDir(), "bad.ckpt")
-	if err := pipeline.WriteFile(path, []byte("ACTK garbage that is not a checkpoint")); err != nil {
+	if err := pipeline.WriteCheckpoint(path, []byte("ACTK garbage that is not a checkpoint")); err != nil {
 		t.Fatal(err)
 	}
 	tk := mk()

@@ -101,7 +101,7 @@ func (r *ckptRun) write(t *Tracker, tr *trace.Trace, cursor int) error {
 	if err != nil {
 		return err
 	}
-	if err := pipeline.WriteFile(r.cfg.Path, img); err != nil {
+	if err := pipeline.WriteCheckpoint(r.cfg.Path, img); err != nil {
 		return err
 	}
 	r.n++

@@ -1,9 +1,8 @@
 package fleet
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -13,6 +12,7 @@ import (
 
 	"act/internal/core"
 	"act/internal/deps"
+	"act/internal/frame"
 	"act/internal/obs"
 	"act/internal/ranking"
 	"act/internal/wire"
@@ -49,8 +49,8 @@ type CollectorConfig struct {
 	Strategy ranking.Strategy
 
 	// SnapshotPath, when set, is where Snapshot persists the aggregate
-	// state (atomically: temp file + rename) and where NewCollector
-	// reloads it from.
+	// state (atomically: synced temp file + rename) and where
+	// NewCollector reloads it from.
 	SnapshotPath string
 }
 
@@ -106,6 +106,8 @@ type Collector struct {
 
 	lnMu sync.Mutex
 	ln   net.Listener // guarded by lnMu
+
+	snapMu sync.Mutex // serializes Snapshot calls
 
 	// ingestNS times batch merges (act_collector_ingest_ns). The
 	// histogram is internally atomic, so it lives outside mu.
@@ -449,13 +451,25 @@ func (r *deadlineReader) Read(p []byte) (int, error) {
 // any overlap from failover re-delivery, converges on the state a
 // single never-failed collector would hold.
 
-const (
-	snapMagic   = "ACTS"
-	snapVersion = 2
+// The ACTS rules: versions 1 (no pending section) and 2 are read; any
+// damage rejects the whole blob — a snapshot load is abandoned, a merge
+// fails — and trailing bytes are damage.
+var (
+	errStateMagic   = errors.New("fleet: not a collector state")
+	errStateVersion = errors.New("fleet: unsupported collector-state version")
+	errStateCRC     = errors.New("fleet: collector state fails its checksum")
+
+	stateFormat = frame.Sealed{
+		Prologue: frame.Prologue{Magic: "ACTS", Version: 2, Oldest: 1,
+			ErrMagic: errStateMagic, ErrVersion: errStateVersion},
+		ErrCRC: errStateCRC,
+	}
 )
 
-// Snapshot atomically persists the aggregate state to path (or the
-// configured SnapshotPath when path is empty).
+// Snapshot atomically and durably persists the aggregate state to path
+// (or the configured SnapshotPath when path is empty). Concurrent calls
+// are serialized, so the file always ends up holding the state of the
+// call that returned last.
 func (c *Collector) Snapshot(path string) error {
 	if path == "" {
 		path = c.cfg.SnapshotPath
@@ -463,11 +477,9 @@ func (c *Collector) Snapshot(path string) error {
 	if path == "" {
 		return fmt.Errorf("fleet: no snapshot path configured")
 	}
-	tmpPath := path + ".tmp"
-	if err := os.WriteFile(tmpPath, c.ExportState(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmpPath, path)
+	c.snapMu.Lock()
+	defer c.snapMu.Unlock()
+	return frame.WriteFile(path, c.ExportState())
 }
 
 // ExportState serializes the collector's aggregate state — the
@@ -476,30 +488,15 @@ func (c *Collector) ExportState() []byte {
 	c.mu.Lock()
 	body := c.encodeStateLocked()
 	c.mu.Unlock()
-
-	out := append([]byte(snapMagic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint16(out[4:], snapVersion)
-	out = append(out, body...)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], crc32.ChecksumIEEE(body))
-	return append(out, tmp[:]...)
+	return stateFormat.Seal(nil, body)
 }
 
 // encodeStateLocked serializes the aggregate for the snapshot file.
 //
 //act:locked mu
 func (c *Collector) encodeStateLocked() []byte {
-	var body []byte
-	var tmp [8]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		body = append(body, tmp[:4]...)
-	}
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		body = append(body, tmp[:]...)
-	}
-	sortedU64 := func(m map[uint64]struct{}) []uint64 {
+	var w frame.Encoder
+	sorted := func(m map[uint64]struct{}) []uint64 {
 		out := make([]uint64, 0, len(m))
 		for k := range m {
 			out = append(out, k)
@@ -507,26 +504,24 @@ func (c *Collector) encodeStateLocked() []byte {
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out
 	}
+	u64s := func(vs []uint64) {
+		w.U32(uint32(len(vs)))
+		for _, v := range vs {
+			w.U64(v)
+		}
+	}
 
-	keys := make([]uint64, 0, len(c.seen))
-	for k := range c.seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	u32(uint32(len(keys)))
-	for _, k := range keys {
-		u64(k)
-	}
+	u64s(sorted(c.seen))
 
 	runs := make([]uint64, 0, len(c.outcomes))
 	for r := range c.outcomes {
 		runs = append(runs, r)
 	}
 	sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
-	u32(uint32(len(runs)))
+	w.U32(uint32(len(runs)))
 	for _, r := range runs {
-		u64(r)
-		body = append(body, byte(c.outcomes[r]))
+		w.U64(r)
+		w.U8(byte(c.outcomes[r]))
 	}
 
 	aggKeys := make([]uint64, 0, len(c.agg))
@@ -534,20 +529,12 @@ func (c *Collector) encodeStateLocked() []byte {
 		aggKeys = append(aggKeys, k)
 	}
 	sort.Slice(aggKeys, func(i, j int) bool { return aggKeys[i] < aggKeys[j] })
-	u32(uint32(len(aggKeys)))
+	w.U32(uint32(len(aggKeys)))
 	for _, k := range aggKeys {
 		agg := c.agg[k]
-		body = wire.AppendEntry(body, agg.entry)
-		fr := sortedU64(agg.failRuns)
-		u32(uint32(len(fr)))
-		for _, r := range fr {
-			u64(r)
-		}
-		cr := sortedU64(agg.correctRuns)
-		u32(uint32(len(cr)))
-		for _, r := range cr {
-			u64(r)
-		}
+		w = wire.AppendEntry(w, agg.entry)
+		u64s(sorted(agg.failRuns))
+		u64s(sorted(agg.correctRuns))
 	}
 
 	pendRuns := make([]uint64, 0, len(c.pending))
@@ -555,9 +542,9 @@ func (c *Collector) encodeStateLocked() []byte {
 		pendRuns = append(pendRuns, r)
 	}
 	sort.Slice(pendRuns, func(i, j int) bool { return pendRuns[i] < pendRuns[j] })
-	u32(uint32(len(pendRuns)))
+	w.U32(uint32(len(pendRuns)))
 	for _, r := range pendRuns {
-		u64(r)
+		w.U64(r)
 		// The in-memory pending list keeps one element per logged entry;
 		// re-filing is a set insert, so duplicates collapse to a sorted
 		// set here — deterministic bytes, same refile result.
@@ -565,13 +552,9 @@ func (c *Collector) encodeStateLocked() []byte {
 		for _, h := range c.pending[r] {
 			set[h] = struct{}{}
 		}
-		hs := sortedU64(set)
-		u32(uint32(len(hs)))
-		for _, h := range hs {
-			u64(h)
-		}
+		u64s(sorted(set))
 	}
-	return body
+	return w
 }
 
 // collectorState is a decoded state blob, detached from any Collector.
@@ -583,32 +566,15 @@ type collectorState struct {
 }
 
 // decodeState parses bytes produced by ExportState (either version).
-// Any damage — short blob, bad magic, checksum mismatch, truncated
-// body — returns false.
-func decodeState(data []byte) (*collectorState, bool) {
-	if len(data) < 8+4 || string(data[:4]) != snapMagic {
-		return nil, false
+// Any damage — short blob, bad magic, checksum mismatch, truncated or
+// overlong body — is an error.
+func decodeState(data []byte) (*collectorState, error) {
+	body, version, err := stateFormat.Open(data)
+	if err != nil {
+		return nil, err
 	}
-	version := binary.LittleEndian.Uint16(data[4:])
-	if version < 1 || version > snapVersion {
-		return nil, false
-	}
-	body, sum := data[8:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, false
-	}
-	off := 0
-	need := func(n int) bool { return len(body)-off >= n }
-	u32 := func() uint32 { v := binary.LittleEndian.Uint32(body[off:]); off += 4; return v }
-	u64 := func() uint64 { v := binary.LittleEndian.Uint64(body[off:]); off += 8; return v }
-
-	if !need(4) {
-		return nil, false
-	}
-	nSeen := int(u32())
-	if !need(nSeen * 8) {
-		return nil, false
-	}
+	d := frame.NewDecoder(body)
+	nSeen := d.Count(8)
 	st := &collectorState{
 		seen:     make(map[uint64]struct{}, nSeen),
 		outcomes: make(map[uint64]wire.Outcome),
@@ -616,87 +582,45 @@ func decodeState(data []byte) (*collectorState, bool) {
 		pending:  make(map[uint64][]uint64),
 	}
 	for i := 0; i < nSeen; i++ {
-		st.seen[u64()] = struct{}{}
+		st.seen[d.U64()] = struct{}{}
 	}
-
-	if !need(4) {
-		return nil, false
+	// runSet reads an aggregate's run set; an empty one stays nil, as
+	// fileRunLocked expects.
+	runSet := func() map[uint64]struct{} {
+		n := d.Count(8)
+		if n == 0 {
+			return nil
+		}
+		m := make(map[uint64]struct{}, n)
+		for i := 0; i < n; i++ {
+			m[d.U64()] = struct{}{}
+		}
+		return m
 	}
-	nRuns := int(u32())
-	if !need(nRuns * 9) {
-		return nil, false
+	for i, n := 0, d.Count(9); i < n; i++ {
+		r := d.U64()
+		st.outcomes[r] = wire.Outcome(d.U8())
 	}
-	for i := 0; i < nRuns; i++ {
-		r := u64()
-		st.outcomes[r] = wire.Outcome(body[off])
-		off++
+	for i, n := 0, d.Count(20+4+4); i < n && d.Err() == nil; i++ {
+		a := &seqAgg{entry: wire.ReadEntry(&d)}
+		a.failRuns = runSet()
+		a.correctRuns = runSet()
+		st.agg[a.entry.Seq.Hash()] = a
 	}
-
-	if !need(4) {
-		return nil, false
-	}
-	nAgg := int(u32())
-	for i := 0; i < nAgg; i++ {
-		e, n, err := wire.DecodeEntry(body[off:])
-		if err != nil {
-			return nil, false
-		}
-		off += n
-		a := &seqAgg{entry: e}
-		if !need(4) {
-			return nil, false
-		}
-		nf := int(u32())
-		if !need(nf * 8) {
-			return nil, false
-		}
-		for j := 0; j < nf; j++ {
-			if a.failRuns == nil {
-				a.failRuns = make(map[uint64]struct{}, nf)
-			}
-			a.failRuns[u64()] = struct{}{}
-		}
-		if !need(4) {
-			return nil, false
-		}
-		nc := int(u32())
-		if !need(nc * 8) {
-			return nil, false
-		}
-		for j := 0; j < nc; j++ {
-			if a.correctRuns == nil {
-				a.correctRuns = make(map[uint64]struct{}, nc)
-			}
-			a.correctRuns[u64()] = struct{}{}
-		}
-		st.agg[e.Seq.Hash()] = a
-	}
-
 	if version >= 2 {
-		if !need(4) {
-			return nil, false
-		}
-		nPend := int(u32())
-		for i := 0; i < nPend; i++ {
-			if !need(8 + 4) {
-				return nil, false
-			}
-			r := u64()
-			nh := int(u32())
-			if !need(nh * 8) {
-				return nil, false
-			}
-			hs := make([]uint64, 0, nh)
-			for j := 0; j < nh; j++ {
-				hs = append(hs, u64())
+		for i, n := 0, d.Count(8+4); i < n && d.Err() == nil; i++ {
+			r := d.U64()
+			hs := make([]uint64, d.Count(8))
+			for j := range hs {
+				hs[j] = d.U64()
 			}
 			st.pending[r] = hs
 		}
 	}
-	if off != len(body) {
-		return nil, false
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("fleet: collector state: %w", err)
 	}
-	return st, true
+	return st, nil
 }
 
 // loadSnapshot restores state saved by Snapshot. Any damage abandons
@@ -706,8 +630,8 @@ func (c *Collector) loadSnapshot(path string) bool {
 	if err != nil {
 		return false
 	}
-	st, ok := decodeState(data)
-	if !ok {
+	st, err := decodeState(data)
+	if err != nil {
 		return false
 	}
 	c.mu.Lock()
@@ -734,9 +658,9 @@ type MergeStats struct {
 // attributions from one shard are re-filed when another shard knew the
 // run's outcome.
 func (c *Collector) MergeState(data []byte) (MergeStats, error) {
-	st, ok := decodeState(data)
-	if !ok {
-		return MergeStats{}, fmt.Errorf("fleet: merge state: damaged or unrecognized blob")
+	st, err := decodeState(data)
+	if err != nil {
+		return MergeStats{}, fmt.Errorf("fleet: merge state: %w", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

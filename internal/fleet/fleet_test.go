@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"os"
@@ -573,5 +574,46 @@ func TestFleetCollectorSnapshotRoundTrip(t *testing.T) {
 	d := NewCollector(CollectorConfig{SnapshotPath: path})
 	if rep := d.Report(); len(rep.Ranked) != 0 {
 		t.Fatalf("damaged snapshot loaded: %+v", rep.Ranked)
+	}
+}
+
+// TestFleetCollectorSnapshotConcurrent: actd's snapshot ticker and its
+// shutdown hook can snapshot at the same time. Every call must succeed
+// and the path must end up holding a whole, loadable state with no temp
+// file left behind.
+func TestFleetCollectorSnapshotConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.acts")
+	c := NewCollector(CollectorConfig{SnapshotPath: path})
+	c.Ingest(mkBatch("f", 101, 0, wire.OutcomeFailing, failingEntries(0)...))
+	const rounds = 200
+	errs := make(chan error, 2*rounds)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := c.Snapshot(""); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	loaded := NewCollector(CollectorConfig{SnapshotPath: path})
+	if got, want := loaded.ExportState(), c.ExportState(); !bytes.Equal(got, want) {
+		t.Fatal("snapshot on disk differs from the collector's state")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after snapshots, want 1", len(entries))
 	}
 }

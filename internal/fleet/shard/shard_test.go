@@ -132,9 +132,13 @@ func (sf *shardFleet) kill(name string) {
 	sf.collectors[name].Shutdown()
 }
 
-// shipSharded runs the scenario through routers over the given shards.
-func shipSharded(t *testing.T, sf *shardFleet, spoolDir string) {
+// shipSharded runs the scenario through routers over the given shards
+// and returns how many batches the routers shipped: one per shard each
+// router's entries touch, so it is the count to wait for, not the
+// number of routers.
+func shipSharded(t *testing.T, sf *shardFleet, spoolDir string) uint64 {
 	t.Helper()
+	var shipped uint64
 	ship := func(name string, run uint64, o wire.Outcome, entries []core.DebugEntry) {
 		src := &stubSource{}
 		src.push(entries...)
@@ -156,12 +160,14 @@ func shipSharded(t *testing.T, sf *shardFleet, spoolDir string) {
 		if err := rt.Close(); err != nil {
 			t.Fatalf("router %s close: %v", name, err)
 		}
+		shipped += rt.Stats().Shipped
 	}
 	for i := 0; i < 3; i++ {
 		ship([]string{"f0", "f1", "f2"}[i], uint64(101+i), wire.OutcomeFailing, failingEntries(i))
 	}
 	ship("c0", 201, wire.OutcomeCorrect, correctEntries())
 	ship("c1", 202, wire.OutcomeCorrect, correctEntries())
+	return shipped
 }
 
 // singleCollectorBaseline runs the identical scenario through one
@@ -359,8 +365,7 @@ func TestBreakerBackoffCapAndJitter(t *testing.T) {
 // single-collector baseline.
 func TestShardedMatchesSingleCollector(t *testing.T) {
 	sf := startShards(t, 3)
-	shipSharded(t, sf, t.TempDir())
-	sf.waitIngested(t, 5)
+	sf.waitIngested(t, shipSharded(t, sf, t.TempDir()))
 
 	// Evidence must actually be sharded, not funneled to one collector.
 	spread := 0
@@ -537,8 +542,7 @@ func TestAllShardsDownSpoolsThenReplays(t *testing.T) {
 // any order, or twice over, exports identical collector state.
 func TestMergeStateOrderAndDuplicationInvariance(t *testing.T) {
 	sf := startShards(t, 3)
-	shipSharded(t, sf, t.TempDir())
-	sf.waitIngested(t, 5)
+	sf.waitIngested(t, shipSharded(t, sf, t.TempDir()))
 
 	var states [][]byte
 	for _, name := range sf.names {
@@ -573,8 +577,7 @@ func TestMergeStateOrderAndDuplicationInvariance(t *testing.T) {
 // too.
 func TestRollupServeIngestsPushedState(t *testing.T) {
 	sf := startShards(t, 2)
-	shipSharded(t, sf, t.TempDir())
-	sf.waitIngested(t, 5)
+	sf.waitIngested(t, shipSharded(t, sf, t.TempDir()))
 
 	ru := NewRollup(RollupConfig{Expected: sf.names})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

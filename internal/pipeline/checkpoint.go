@@ -1,53 +1,37 @@
 // CRC-framed checkpoint files (format "ACTK").
 //
 // A checkpoint is a flat sequence of typed sections, each individually
-// checksummed, closed by a terminator frame:
+// checksummed, closed by a terminator frame (internal/frame's typed
+// frame, without a sync pair):
 //
 //	prologue:   magic "ACTK" | u16 version=1 | u16 reserved
 //	section:    u8 kind | u32 length | payload |
 //	            u32 crc32(kind | length | payload)
 //	terminator: u8 0xFF | u32 0 | u32 crc32(0xFF | 0)
 //
-// All integers are little-endian; CRCs are IEEE CRC32 and cover the
-// kind and length bytes, so a corrupted length cannot smuggle garbage
-// past the check. The terminator distinguishes a complete file from one
-// truncated mid-write, and trailing bytes after it are rejected — a
-// checkpoint is all-or-nothing.
+// The terminator distinguishes a complete file from one truncated
+// mid-write, and trailing bytes after it are rejected — a checkpoint is
+// all-or-nothing.
 //
 // Section kinds are owned by the layers above: core uses the 1..63
 // range for replay state (header, extractor, modules), stages uses
 // 64..254 for stage results (ranked report, RCA verdicts). This package
 // only frames and checksums.
 //
-// WriteFile is atomic (temp file + rename): a crash mid-checkpoint
-// leaves the previous complete checkpoint in place, never a torn one.
+// WriteCheckpoint is atomic (synced temp file + rename): a crash
+// mid-checkpoint leaves the previous complete checkpoint in place,
+// never a torn one.
 package pipeline
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
+
+	"act/internal/frame"
 )
 
-// Checkpoint format constants.
-const (
-	CkptMagic   = "ACTK"
-	CkptVersion = 1
-
-	ckptPrologueLen = 4 + 2 + 2
-	ckptFrameHdr    = 1 + 4 // kind byte, payload length
-	ckptFrameTail   = 4     // crc32
-
-	// ckptTerminator marks the end of a complete checkpoint.
-	ckptTerminator = 0xFF
-
-	// ckptMaxSection caps a declared section length; a corrupted length
-	// field must not provoke a multi-gigabyte allocation.
-	ckptMaxSection = 1 << 30
-)
+// ckptTerminator marks the end of a complete checkpoint.
+const ckptTerminator = 0xFF
 
 // Checkpoint parse errors. ErrCkptCorrupt covers truncation, CRC
 // mismatch, oversized sections, and trailing garbage — everything a
@@ -56,6 +40,15 @@ var (
 	ErrCkptMagic   = errors.New("pipeline: not a checkpoint file (bad magic)")
 	ErrCkptVersion = errors.New("pipeline: unsupported checkpoint version")
 	ErrCkptCorrupt = errors.New("pipeline: corrupt checkpoint")
+)
+
+// The ACTK rules: one accepted version; sections of at most 1 GiB, so a
+// corrupted length field cannot provoke a huge allocation; no
+// resynchronization — any damage is ErrCkptCorrupt; no trailing bytes.
+var (
+	ckptFormat = frame.Prologue{Magic: "ACTK", Version: 1, Oldest: 1,
+		ErrMagic: ErrCkptMagic, ErrVersion: ErrCkptVersion}
+	ckptFrames = frame.Typed{MaxPayload: 1 << 30}
 )
 
 // Section is one typed span of a checkpoint.
@@ -67,28 +60,11 @@ type Section struct {
 // AppendCheckpoint serializes a complete checkpoint (prologue, the
 // sections in order, terminator) onto dst.
 func AppendCheckpoint(dst []byte, sections []Section) []byte {
-	dst = append(dst, CkptMagic...)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint16(tmp[:2], CkptVersion)
-	binary.LittleEndian.PutUint16(tmp[2:], 0)
-	dst = append(dst, tmp[:]...)
+	dst = ckptFormat.Append(dst)
 	for _, s := range sections {
-		dst = appendSection(dst, s.Kind, s.Data)
+		dst = ckptFrames.Append(dst, s.Kind, s.Data)
 	}
-	return appendSection(dst, ckptTerminator, nil)
-}
-
-// appendSection frames one section.
-func appendSection(dst []byte, kind byte, payload []byte) []byte {
-	start := len(dst)
-	dst = append(dst, kind)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(payload)))
-	dst = append(dst, tmp[:]...)
-	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[start:])
-	binary.LittleEndian.PutUint32(tmp[:], crc)
-	return append(dst, tmp[:]...)
+	return ckptFrames.Append(dst, ckptTerminator, nil)
 }
 
 // ParseCheckpoint validates a checkpoint image and returns its sections
@@ -97,70 +73,34 @@ func appendSection(dst []byte, kind byte, payload []byte) []byte {
 // terminator, trailing bytes — yields an error wrapping one of the
 // sentinel errors above; a parsed checkpoint is therefore known whole.
 func ParseCheckpoint(data []byte) ([]Section, error) {
-	if len(data) < ckptPrologueLen || string(data[:4]) != CkptMagic {
-		return nil, ErrCkptMagic
-	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != CkptVersion {
-		return nil, fmt.Errorf("%w: %d", ErrCkptVersion, v)
+	if _, err := ckptFormat.Check(data); err != nil {
+		return nil, err
 	}
 	var out []Section
-	off := ckptPrologueLen
-	for {
-		if len(data)-off < ckptFrameHdr+ckptFrameTail {
-			return nil, fmt.Errorf("%w: truncated at byte %d", ErrCkptCorrupt, off)
+	for off := frame.PrologueLen; ; {
+		kind, payload, n, err := ckptFrames.Parse(data[off:])
+		if err != nil {
+			return nil, fmt.Errorf("%w: section at byte %d: %w", ErrCkptCorrupt, off, err)
 		}
-		kind := data[off]
-		n := int(binary.LittleEndian.Uint32(data[off+1:]))
-		if n > ckptMaxSection || len(data)-off < ckptFrameHdr+n+ckptFrameTail {
-			return nil, fmt.Errorf("%w: section kind %d declares %d bytes", ErrCkptCorrupt, kind, n)
-		}
-		body := data[off : off+ckptFrameHdr+n]
-		want := binary.LittleEndian.Uint32(data[off+ckptFrameHdr+n:])
-		if crc32.ChecksumIEEE(body) != want {
-			return nil, fmt.Errorf("%w: crc mismatch in section kind %d", ErrCkptCorrupt, kind)
-		}
-		off += ckptFrameHdr + n + ckptFrameTail
+		off += n
 		if kind == ckptTerminator {
 			if off != len(data) {
 				return nil, fmt.Errorf("%w: %d trailing bytes", ErrCkptCorrupt, len(data)-off)
 			}
 			return out, nil
 		}
-		out = append(out, Section{Kind: kind, Data: body[ckptFrameHdr:]})
+		out = append(out, Section{Kind: kind, Data: payload})
 	}
 }
 
-// WriteFile writes a checkpoint image atomically: the bytes land in a
-// temp file in the same directory, are synced, and replace path with
-// one rename. A kill at any instant leaves either the previous
-// checkpoint or the new one — never a torn file (a torn temp file is
-// ignored by resume since it is never renamed into place).
-func WriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+// WriteCheckpoint lands a checkpoint image at path atomically and
+// durably (frame.WriteFile) and counts it in the act_pipeline_checkpoint
+// series.
+func WriteCheckpoint(path string, img []byte) error {
+	if err := frame.WriteFile(path, img); err != nil {
 		return err
 	}
 	statCkptWrites.Inc()
-	statCkptBytes.Add(uint64(len(data)))
+	statCkptBytes.Add(uint64(len(img)))
 	return nil
 }

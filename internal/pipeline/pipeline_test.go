@@ -129,10 +129,10 @@ func TestWriteFileAtomic(t *testing.T) {
 	path := filepath.Join(dir, "a.ckpt")
 	img1 := AppendCheckpoint(nil, []Section{{Kind: 1, Data: []byte("one")}})
 	img2 := AppendCheckpoint(nil, []Section{{Kind: 1, Data: []byte("two")}})
-	if err := WriteFile(path, img1); err != nil {
+	if err := WriteCheckpoint(path, img1); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFile(path, img2); err != nil {
+	if err := WriteCheckpoint(path, img2); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)

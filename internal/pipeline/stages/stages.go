@@ -160,5 +160,5 @@ func persistStageState(t *core.Tracker, tr *trace.Trace, path string, res *Resul
 	if err != nil {
 		return err
 	}
-	return pipeline.WriteFile(path, img)
+	return pipeline.WriteCheckpoint(path, img)
 }

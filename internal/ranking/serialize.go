@@ -1,30 +1,24 @@
 package ranking
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"act/internal/frame"
 	"act/internal/wire"
 )
 
 // Report persistence. A diagnosis report used to be print-only; fleet
 // operation needs it as an artifact — saved by actdiag or actd, loaded
 // later to re-rank under a different strategy or to merge with newer
-// evidence. The format reuses the wire package's entry codec under a
-// whole-body CRC:
+// evidence. The format reuses the wire package's entry codec in a
+// sealed file (internal/frame):
 //
 //	magic "ACTR" | u16 version=1 | u16 reserved
 //	u32 total | u32 pruned | u32 candidate count
 //	per candidate: u32 matches | u32 runs | wire entry
 //	u32 crc32(everything after the magic/version prologue)
-
-const (
-	reportMagic   = "ACTR"
-	reportVersion = 1
-)
 
 // Report-file errors.
 var (
@@ -33,6 +27,15 @@ var (
 	ErrReportCRC     = errors.New("ranking: report body fails its checksum")
 )
 
+// The ACTR rules: one accepted version; the body holds at least its
+// three counts; any damage is an error; no trailing bytes in a file.
+var reportFormat = frame.Sealed{
+	Prologue: frame.Prologue{Magic: "ACTR", Version: 1, Oldest: 1,
+		ErrMagic: ErrReportMagic, ErrVersion: ErrReportVersion},
+	MinBody: 12,
+	ErrCRC:  ErrReportCRC,
+}
+
 // AppendReport serializes the report body — counts and candidates, no
 // magic, version, or checksum — to dst and returns the extended slice.
 // This is the embeddable form: the RCA verdict format (internal/rca)
@@ -40,52 +43,34 @@ var (
 // stand-alone report prologue. Entries' output trajectories
 // (DebugEntry.Traj) are provenance, not identity, and are not encoded.
 func (r *Report) AppendReport(dst []byte) []byte {
-	var tmp [4]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:], v)
-		dst = append(dst, tmp[:]...)
-	}
-	u32(uint32(r.Total))
-	u32(uint32(r.Pruned))
-	u32(uint32(len(r.Ranked)))
+	w := frame.Encoder(dst)
+	w.U32(uint32(r.Total))
+	w.U32(uint32(r.Pruned))
+	w.U32(uint32(len(r.Ranked)))
 	for _, c := range r.Ranked {
-		u32(uint32(c.Matches))
-		u32(uint32(c.Runs))
-		dst = wire.AppendEntry(dst, c.Entry)
+		w.U32(uint32(c.Matches))
+		w.U32(uint32(c.Runs))
+		w = wire.AppendEntry(w, c.Entry)
 	}
-	return dst
+	return w
 }
 
 // DecodeReport parses a report body produced by AppendReport, returning
 // the report and the bytes consumed. Trailing bytes are the caller's:
 // an embedding format may continue after the report section.
 func DecodeReport(body []byte) (*Report, int, error) {
-	if len(body) < 12 {
-		return nil, 0, fmt.Errorf("ranking: report body truncated at %d bytes", len(body))
-	}
-	r := &Report{
-		Total:  int(binary.LittleEndian.Uint32(body[0:])),
-		Pruned: int(binary.LittleEndian.Uint32(body[4:])),
-	}
-	count := int(binary.LittleEndian.Uint32(body[8:]))
-	off := 12
-	for i := 0; i < count; i++ {
-		if len(body) < off+8 {
-			return nil, 0, fmt.Errorf("ranking: candidate %d truncated", i)
-		}
-		c := Candidate{
-			Matches: int(binary.LittleEndian.Uint32(body[off:])),
-			Runs:    int(binary.LittleEndian.Uint32(body[off+4:])),
-		}
-		e, n, err := wire.DecodeEntry(body[off+8:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("ranking: candidate %d: %w", i, err)
-		}
-		c.Entry = e
-		off += 8 + n
+	d := frame.NewDecoder(body)
+	r := &Report{Total: int(d.U32()), Pruned: int(d.U32())}
+	n := d.Count(8 + 20) // matches, runs, and an entry without deps
+	for i := 0; i < n && d.Err() == nil; i++ {
+		c := Candidate{Matches: int(d.U32()), Runs: int(d.U32())}
+		c.Entry = wire.ReadEntry(&d)
 		r.Ranked = append(r.Ranked, c)
 	}
-	return r, off, nil
+	if err := d.Err(); err != nil {
+		return nil, 0, fmt.Errorf("ranking: report body: %w", err)
+	}
+	return r, d.Offset(), nil
 }
 
 // Save writes the report. The full candidate state round-trips:
@@ -93,13 +78,7 @@ func DecodeReport(body []byte) (*Report, int, error) {
 // without access to the Correct Set.
 func (r *Report) Save(w io.Writer) error {
 	body := r.AppendReport(make([]byte, 0, 64+len(r.Ranked)*64))
-	out := append([]byte(reportMagic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint16(out[4:], reportVersion)
-	out = append(out, body...)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], crc32.ChecksumIEEE(body))
-	out = append(out, tmp[:]...)
-	_, err := w.Write(out)
+	_, err := w.Write(reportFormat.Seal(nil, body))
 	return err
 }
 
@@ -109,18 +88,9 @@ func LoadReport(rd io.Reader) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 8+12+4 {
-		return nil, fmt.Errorf("%w (only %d bytes)", ErrReportMagic, len(data))
-	}
-	if string(data[:4]) != reportMagic {
-		return nil, ErrReportMagic
-	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != reportVersion {
-		return nil, fmt.Errorf("%w %d", ErrReportVersion, v)
-	}
-	body, sum := data[8:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, ErrReportCRC
+	body, _, err := reportFormat.Open(data)
+	if err != nil {
+		return nil, err
 	}
 	r, off, err := DecodeReport(body)
 	if err != nil {

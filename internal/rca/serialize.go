@@ -1,19 +1,19 @@
 package rca
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"act/internal/frame"
 	"act/internal/ranking"
 )
 
 // Verdict-file persistence. An RCA report is the artifact collectors
 // ship upward, so it needs the same treatment ranking reports got: a
-// framed, checksummed, versioned binary form that round-trips exactly.
+// sealed, checksummed, versioned binary form (internal/frame) that
+// round-trips exactly.
 // The ranking body embeds via ranking.AppendReport/DecodeReport; each
 // verdict then references its candidate by rank, so dependence windows
 // are stored once (inside the ranking body) and reconstructed on load.
@@ -35,11 +35,6 @@ import (
 // Trajectories are serialized per verdict because the embedded ranking
 // body (the wire entry codec) deliberately does not carry them.
 
-const (
-	verdictMagic   = "ACTV"
-	verdictVersion = 1
-)
-
 // Verdict-file errors.
 var (
 	ErrVerdictMagic   = errors.New("rca: not a verdict file")
@@ -47,67 +42,70 @@ var (
 	ErrVerdictCRC     = errors.New("rca: verdict body fails its checksum")
 )
 
+// The ACTV rules: one accepted version; the body holds at least the
+// bug-name length and three u32 counts; any damage, NaN or out-of-range
+// enum is an error; no trailing bytes.
+var verdictFormat = frame.Sealed{
+	Prologue: frame.Prologue{Magic: "ACTV", Version: 1, Oldest: 1,
+		ErrMagic: ErrVerdictMagic, ErrVersion: ErrVerdictVersion},
+	MinBody: 1 + 4 + 4 + 4,
+	ErrCRC:  ErrVerdictCRC,
+}
+
 // appendBody serializes everything between the prologue and the CRC.
 func (r *Report) appendBody(dst []byte) ([]byte, error) {
-	var tmp [8]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		dst = append(dst, tmp[:4]...)
-	}
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		dst = append(dst, tmp[:]...)
-	}
+	w := frame.Encoder(dst)
 	str8 := func(s string) error {
 		if len(s) > 255 {
 			return fmt.Errorf("rca: string %q exceeds 255 bytes", s[:16]+"…")
 		}
-		dst = append(dst, byte(len(s)))
-		dst = append(dst, s...)
+		w.U8(byte(len(s)))
+		w = append(w, s...)
 		return nil
 	}
 	if err := str8(r.Bug); err != nil {
 		return nil, err
 	}
-	u32(uint32(r.CorrectRuns))
+	w.U32(uint32(r.CorrectRuns))
 	ranked := r.Ranked
 	if ranked == nil {
 		ranked = &ranking.Report{Total: r.Total, Pruned: r.Pruned}
 	}
 	body := ranked.AppendReport(nil)
-	u32(uint32(len(body)))
-	dst = append(dst, body...)
-	u32(uint32(len(r.Verdicts)))
+	w.U32(uint32(len(body)))
+	w = append(w, body...)
+	w.U32(uint32(len(r.Verdicts)))
 	for i, v := range r.Verdicts {
 		if v.Rank < 1 || v.Rank > len(ranked.Ranked) {
 			return nil, fmt.Errorf("rca: verdict %d has rank %d outside ranked set of %d", i, v.Rank, len(ranked.Ranked))
 		}
-		u32(uint32(v.Rank))
-		dst = append(dst, byte(v.Kind), byte(v.Scope), b2u8(v.LockAdjacent))
-		binary.LittleEndian.PutUint16(tmp[:2], v.Site.Proc)
-		dst = append(dst, tmp[:2]...)
-		u32(uint32(v.Site.Thread))
-		u64(v.Site.StorePC)
-		u64(v.Site.LoadPC)
+		w.U32(uint32(v.Rank))
+		w.U8(byte(v.Kind))
+		w.U8(byte(v.Scope))
+		w.U8(b2u8(v.LockAdjacent))
+		w.U16(v.Site.Proc)
+		w.U32(uint32(v.Site.Thread))
+		w.U64(v.Site.StorePC)
+		w.U64(v.Site.LoadPC)
 		if err := str8(v.Site.StoreSym); err != nil {
 			return nil, err
 		}
 		if err := str8(v.Site.LoadSym); err != nil {
 			return nil, err
 		}
-		u64(math.Float64bits(v.Confidence))
-		u32(uint32(v.Evidence.Matched))
-		u32(uint32(v.Evidence.Runs))
-		u32(uint32(v.Evidence.PrunedNeighbors))
+		w.F64(v.Confidence)
+		w.U32(uint32(v.Evidence.Matched))
+		w.U32(uint32(v.Evidence.Runs))
+		w.U32(uint32(v.Evidence.PrunedNeighbors))
 		if len(v.Evidence.Trajectory) > 255 {
 			return nil, fmt.Errorf("rca: verdict %d trajectory of %d samples exceeds 255", i, len(v.Evidence.Trajectory))
 		}
-		dst = append(dst, byte(len(v.Evidence.Trajectory)))
+		w.U8(byte(len(v.Evidence.Trajectory)))
 		for _, o := range v.Evidence.Trajectory {
-			u64(math.Float64bits(o))
+			w.F64(o)
 		}
 	}
-	return dst, nil
+	return w, nil
 }
 
 func b2u8(b bool) byte {
@@ -125,13 +123,7 @@ func (r *Report) Save(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	out := append([]byte(verdictMagic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint16(out[4:], verdictVersion)
-	out = append(out, body...)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], crc32.ChecksumIEEE(body))
-	out = append(out, tmp[:]...)
-	_, err = w.Write(out)
+	_, err = w.Write(verdictFormat.Seal(nil, body))
 	return err
 }
 
@@ -143,75 +135,28 @@ func Load(rd io.Reader) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 8+1+4+4+4+4 {
-		return nil, fmt.Errorf("%w (only %d bytes)", ErrVerdictMagic, len(data))
-	}
-	if string(data[:4]) != verdictMagic {
-		return nil, ErrVerdictMagic
-	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != verdictVersion {
-		return nil, fmt.Errorf("%w %d", ErrVerdictVersion, v)
-	}
-	body, sum := data[8:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, ErrVerdictCRC
+	body, _, err := verdictFormat.Open(data)
+	if err != nil {
+		return nil, err
 	}
 	return decodeBody(body)
 }
 
 func decodeBody(body []byte) (*Report, error) {
-	off := 0
-	need := func(n int, what string) error {
-		if len(body)-off < n {
-			return fmt.Errorf("rca: verdict file truncated in %s", what)
-		}
-		return nil
+	d := frame.NewDecoder(body)
+	str8 := func() string { return string(d.Bytes(int(d.U8()))) }
+	r := &Report{Bug: str8(), CorrectRuns: int(d.U32())}
+	rbody := d.Bytes(int(d.U32()))
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("rca: verdict file header: %w", err)
 	}
-	rdU32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(body[off:])
-		off += 4
-		return v
-	}
-	rdU64 := func() uint64 {
-		v := binary.LittleEndian.Uint64(body[off:])
-		off += 8
-		return v
-	}
-	rdStr8 := func(what string) (string, error) {
-		if err := need(1, what); err != nil {
-			return "", err
-		}
-		n := int(body[off])
-		off++
-		if err := need(n, what); err != nil {
-			return "", err
-		}
-		s := string(body[off : off+n])
-		off += n
-		return s, nil
-	}
-
-	r := &Report{}
-	var err error
-	if r.Bug, err = rdStr8("bug name"); err != nil {
-		return nil, err
-	}
-	if err := need(8, "header"); err != nil {
-		return nil, err
-	}
-	r.CorrectRuns = int(rdU32())
-	rlen := int(rdU32())
-	if err := need(rlen, "ranking body"); err != nil {
-		return nil, err
-	}
-	ranked, n, err := ranking.DecodeReport(body[off : off+rlen])
+	ranked, n, err := ranking.DecodeReport(rbody)
 	if err != nil {
 		return nil, err
 	}
-	if n != rlen {
-		return nil, fmt.Errorf("rca: %d trailing bytes in ranking body", rlen-n)
+	if n != len(rbody) {
+		return nil, fmt.Errorf("rca: %d trailing bytes in ranking body", len(rbody)-n)
 	}
-	off += rlen
 	// Network outputs are probabilities; NaN is corruption the entry
 	// codec cannot flag on its own (any 8 bytes decode as a float).
 	// Reject it here so accepted files always round-trip exactly —
@@ -224,76 +169,57 @@ func decodeBody(body []byte) (*Report, error) {
 	r.Ranked = ranked
 	r.Total, r.Pruned = ranked.Total, ranked.Pruned
 
-	if err := need(4, "verdict count"); err != nil {
-		return nil, err
-	}
-	count := int(rdU32())
-	for i := 0; i < count; i++ {
-		if err := need(4+3+2+4+8+8, "verdict"); err != nil {
-			return nil, err
-		}
+	count := d.Count(verdictMin)
+	for i := 0; i < count && d.Err() == nil; i++ {
 		var v Verdict
-		v.Rank = int(rdU32())
-		if v.Rank < 1 || v.Rank > len(ranked.Ranked) {
+		v.Rank = int(d.U32())
+		v.Kind, v.Scope = DefectKind(d.U8()), Scope(d.U8())
+		la := d.U8()
+		v.Site = Site{Proc: d.U16(), Thread: int(d.U32()), StorePC: d.U64(), LoadPC: d.U64()}
+		v.Site.StoreSym = str8()
+		v.Site.LoadSym = str8()
+		v.Confidence = d.F64()
+		v.Evidence = Evidence{Matched: int(d.U32()), Runs: int(d.U32()), PrunedNeighbors: int(d.U32())}
+		if tn := d.Bound(int(d.U8()), 8); tn > 0 {
+			v.Evidence.Trajectory = make([]float64, tn)
+			for j := range v.Evidence.Trajectory {
+				v.Evidence.Trajectory[j] = d.F64()
+			}
+		}
+		if d.Err() != nil {
+			break
+		}
+		switch {
+		case v.Rank < 1 || v.Rank > len(ranked.Ranked):
 			return nil, fmt.Errorf("rca: verdict %d rank %d outside ranked set of %d", i, v.Rank, len(ranked.Ranked))
-		}
-		v.Kind = DefectKind(body[off])
-		v.Scope = Scope(body[off+1])
-		la := body[off+2]
-		off += 3
-		if v.Kind < KindUnknown || v.Kind > KindSequential {
+		case v.Kind < KindUnknown || v.Kind > KindSequential:
 			return nil, fmt.Errorf("rca: verdict %d has invalid kind %d", i, int(v.Kind))
-		}
-		if v.Scope < ScopeUnknown || v.Scope > ScopeInter {
+		case v.Scope < ScopeUnknown || v.Scope > ScopeInter:
 			return nil, fmt.Errorf("rca: verdict %d has invalid scope %d", i, int(v.Scope))
-		}
-		if la > 1 {
+		case la > 1:
 			return nil, fmt.Errorf("rca: verdict %d has invalid lock-adjacent flag %d", i, la)
+		case math.IsNaN(v.Confidence) || v.Confidence < 0 || v.Confidence > 1:
+			return nil, fmt.Errorf("rca: verdict %d has confidence outside [0,1]", i)
+		}
+		for j, o := range v.Evidence.Trajectory {
+			if math.IsNaN(o) {
+				return nil, fmt.Errorf("rca: verdict %d trajectory sample %d is NaN", i, j)
+			}
 		}
 		v.KindName, v.ScopeName = v.Kind.String(), v.Scope.String()
 		v.LockAdjacent = la == 1
-		v.Site.Proc = binary.LittleEndian.Uint16(body[off:])
-		off += 2
-		v.Site.Thread = int(rdU32())
-		v.Site.StorePC = rdU64()
-		v.Site.LoadPC = rdU64()
-		if v.Site.StoreSym, err = rdStr8("store sym"); err != nil {
-			return nil, err
-		}
-		if v.Site.LoadSym, err = rdStr8("load sym"); err != nil {
-			return nil, err
-		}
-		if err := need(8+12+1, "verdict evidence"); err != nil {
-			return nil, err
-		}
-		v.Confidence = math.Float64frombits(rdU64())
-		if math.IsNaN(v.Confidence) || v.Confidence < 0 || v.Confidence > 1 {
-			return nil, fmt.Errorf("rca: verdict %d has confidence outside [0,1]", i)
-		}
-		v.Evidence.Matched = int(rdU32())
-		v.Evidence.Runs = int(rdU32())
-		v.Evidence.PrunedNeighbors = int(rdU32())
-		tn := int(body[off])
-		off++
-		if err := need(8*tn, "trajectory"); err != nil {
-			return nil, err
-		}
-		if tn > 0 {
-			v.Evidence.Trajectory = make([]float64, tn)
-			for j := 0; j < tn; j++ {
-				o := math.Float64frombits(rdU64())
-				if math.IsNaN(o) {
-					return nil, fmt.Errorf("rca: verdict %d trajectory sample %d is NaN", i, j)
-				}
-				v.Evidence.Trajectory[j] = o
-			}
-		}
 		// The window is stored once, in the ranking body.
 		v.Evidence.Window = evWindow(ranked.Ranked[v.Rank-1].Entry.Seq)
 		r.Verdicts = append(r.Verdicts, v)
 	}
-	if off != len(body) {
-		return nil, fmt.Errorf("rca: %d trailing bytes after verdicts", len(body)-off)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("rca: verdicts: %w", err)
 	}
 	return r, nil
 }
+
+// verdictMin is the encoded size of a verdict with empty symbols and
+// no trajectory: rank, kind/scope/lock, proc, thread, the two PCs, the
+// two symbol lengths, confidence, three evidence counts and the
+// trajectory length.
+const verdictMin = 4 + 3 + 2 + 4 + 8 + 8 + 1 + 1 + 8 + 12 + 1

@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"act/internal/frame"
 )
 
 // Framed format (version 3), the hardened on-disk layout. Production
@@ -20,15 +20,25 @@ import (
 //	  sync 0xA5 0x5A | 27-byte record payload | u32 crc32(payload)
 //
 // Record payload layout matches the plain format:
-// u64 seq | u64 pc | u64 addr | u16 tid | u8 flags. All CRCs are
-// IEEE CRC32 in little-endian. Frames are self-delimiting: after a bad
-// span the reader scans forward for the next sync pair whose payload
-// checksums correctly.
+// u64 seq | u64 pc | u64 addr | u16 tid | u8 flags. Frames are
+// self-delimiting: after a bad span the reader scans forward for the
+// next sync pair whose payload checksums correctly.
 const (
 	recordPayload = 27                    // bytes per encoded record
 	frameSize     = 2 + recordPayload + 4 // sync + payload + crc
 	fixedHeader   = 8 + 8 + 4 + 8         // header bytes besides the name
+	maxNameLen    = 1 << 20
 	sync0, sync1  = 0xA5, 0x5A
+)
+
+// The ACTT rules: versions 2 (plain, read-only) and 3 (framed) are
+// read. Framed damage is recovered, never an error: a header that fails
+// its checksum is salvaged when its lengths agree, and record frames
+// resynchronize one byte at a time.
+var (
+	traceFormat = frame.Prologue{Magic: "ACTT", Version: versionFramed, Oldest: versionPlain,
+		ErrMagic: ErrBadMagic, ErrVersion: ErrBadVersion}
+	recordFrame = frame.Fixed{Sync: [2]byte{sync0, sync1}, Size: recordPayload}
 )
 
 func encodeRecord(dst []byte, r Record) {
@@ -96,161 +106,99 @@ func (r *CorruptionReport) String() string {
 
 // Write serializes the trace in the framed (version 3) format.
 func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var pro [4]byte
-	binary.LittleEndian.PutUint16(pro[0:], versionFramed)
-	if _, err := bw.Write(pro[:]); err != nil {
-		return err
-	}
-	hdr := make([]byte, fixedHeader+len(t.Program))
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(t.Seed))
-	binary.LittleEndian.PutUint64(hdr[8:], t.Steps)
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(t.Program)))
-	copy(hdr[20:], t.Program)
-	binary.LittleEndian.PutUint64(hdr[20+len(t.Program):], uint64(len(t.Records)))
-	var u4 [4]byte
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(hdr)))
-	if _, err := bw.Write(u4[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(u4[:], crc32.ChecksumIEEE(hdr))
-	if _, err := bw.Write(u4[:]); err != nil {
-		return err
-	}
-	frame := make([]byte, frameSize)
-	frame[0], frame[1] = sync0, sync1
+	hdr := make(frame.Encoder, 0, fixedHeader+len(t.Program))
+	hdr.U64(uint64(t.Seed))
+	hdr.U64(t.Steps)
+	hdr.U32(uint32(len(t.Program)))
+	hdr = append(hdr, t.Program...)
+	hdr.U64(uint64(len(t.Records)))
+	out := make([]byte, 0, frame.PrologueLen+4+len(hdr)+4+len(t.Records)*frameSize)
+	out = frame.AppendSection(traceFormat.Append(out), hdr)
+	var rec [recordPayload]byte
 	for _, r := range t.Records {
-		encodeRecord(frame[2:2+recordPayload], r)
-		crc := crc32.ChecksumIEEE(frame[2 : 2+recordPayload])
-		binary.LittleEndian.PutUint32(frame[2+recordPayload:], crc)
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
+		encodeRecord(rec[:], r)
+		out = recordFrame.Append(out, rec[:])
 	}
-	return bw.Flush()
+	_, err := w.Write(out)
+	return err
 }
 
-// ReadReport deserializes a trace written by Write or WriteLegacy. For
-// plain streams it behaves exactly like the original reader (any damage
-// is an error). For framed streams corruption is not an error: the
-// reader skips damaged spans, resynchronizes on the next checksummed
-// frame, and returns the partial trace together with a CorruptionReport
-// saying what was lost. The error return is reserved for streams that
-// are not traces at all (bad magic, unknown version, unreadable
-// prologue).
+// ReadReport deserializes a trace in either format. For plain streams
+// any damage is an error. For framed streams corruption is not an
+// error: the reader skips damaged spans, resynchronizes on the next
+// checksummed frame, and returns the partial trace together with a
+// CorruptionReport saying what was lost. The error return is reserved
+// for streams that are not traces at all (bad magic, unknown version,
+// unreadable prologue).
 func ReadReport(r io.Reader) (*Trace, *CorruptionReport, error) {
-	br := bufio.NewReader(r)
-	pro := make([]byte, 4+2+2)
-	if _, err := io.ReadFull(br, pro); err != nil {
+	var pro [frame.PrologueLen]byte
+	if _, err := io.ReadFull(r, pro[:]); err != nil {
 		return nil, nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if string(pro[:4]) != magic {
-		return nil, nil, ErrBadMagic
+	v, err := traceFormat.Check(pro[:])
+	if err != nil {
+		return nil, nil, err
 	}
-	switch v := binary.LittleEndian.Uint16(pro[4:]); v {
-	case versionPlain:
-		t, err := readPlain(br)
+	// The body is consumed whole: traces in this system are in-memory
+	// objects anyway, and resynchronization needs random access.
+	body, err := io.ReadAll(r)
+	if v == versionPlain {
+		if err != nil {
+			return nil, nil, fmt.Errorf("trace: reading body: %w", err)
+		}
+		t, err := readPlain(body)
 		if err != nil {
 			return nil, nil, err
 		}
 		return t, &CorruptionReport{Declared: uint64(len(t.Records)), Recovered: len(t.Records)}, nil
-	case versionFramed:
-		t, rep := readFramed(br)
-		return t, rep, nil
-	default:
-		return nil, nil, fmt.Errorf("%w %d", ErrBadVersion, v)
 	}
+	if err != nil {
+		body = nil // an unreadable framed body is lost whole
+	}
+	t, rep := readFramed(body)
+	return t, rep, nil
 }
 
-// readFramed reads a framed body after the prologue. It never fails:
+// readFramed decodes a framed body after the prologue. It never fails:
 // whatever survives checksum verification becomes the partial trace.
-func readFramed(br *bufio.Reader) (*Trace, *CorruptionReport) {
+func readFramed(body []byte) (*Trace, *CorruptionReport) {
 	t := &Trace{}
 	rep := &CorruptionReport{}
-
-	// The body is consumed whole: traces in this system are in-memory
-	// objects anyway, and resynchronization needs random access.
-	body, err := io.ReadAll(br)
-	if err != nil || len(body) == 0 {
+	if len(body) < 4 {
 		rep.HeaderDamaged = true
 		rep.TruncatedTail = true
 		return t, rep
 	}
 
-	// Header section: u32 length | bytes | u32 crc. On any damage the
-	// frame scan restarts at offset 0 — header bytes cannot masquerade
-	// as frames without also beating a CRC32.
+	// Header section. When it is unusable the frame scan restarts at
+	// offset 0 — header bytes cannot masquerade as frames without also
+	// beating a CRC32.
 	start := 0
-	if len(body) >= 4 {
-		hlen := int(binary.LittleEndian.Uint32(body[0:]))
-		if hlen >= fixedHeader && hlen <= fixedHeader+1<<20 && 4+hlen+4 <= len(body) {
-			hbytes := body[4 : 4+hlen]
-			crc := binary.LittleEndian.Uint32(body[4+hlen:])
-			nameLen := int(binary.LittleEndian.Uint32(hbytes[16:]))
-			plausible := fixedHeader+nameLen == hlen
-			if crc32.ChecksumIEEE(hbytes) != crc {
-				rep.HeaderDamaged = true
+	rep.HeaderDamaged = true
+	if sec, n, ok := frame.Section(body, fixedHeader, fixedHeader+maxNameLen); sec != nil {
+		d := frame.NewDecoder(sec)
+		seed, steps := d.U64(), d.U64()
+		name := d.Bytes(int(d.U32()))
+		declared := d.U64()
+		// A damaged header is still salvaged when its internal lengths
+		// agree; only its fields are suspect, not the record stream
+		// that follows.
+		if d.Finish() == nil {
+			t.Seed, t.Steps, t.Program = int64(seed), steps, string(name)
+			start = n
+			if ok {
+				rep.HeaderDamaged = false
+				rep.Declared = declared
 			}
-			// A damaged header is still salvaged when its internal
-			// lengths agree; only its fields are suspect, not the
-			// record stream that follows.
-			if plausible {
-				t.Seed = int64(binary.LittleEndian.Uint64(hbytes[0:]))
-				t.Steps = binary.LittleEndian.Uint64(hbytes[8:])
-				t.Program = string(hbytes[20 : 20+nameLen])
-				rep.Declared = binary.LittleEndian.Uint64(hbytes[20+nameLen:])
-				start = 4 + hlen + 4
-			} else {
-				rep.HeaderDamaged = true
-			}
-		} else {
-			rep.HeaderDamaged = true
 		}
-	} else {
-		rep.HeaderDamaged = true
-		rep.TruncatedTail = true
-		return t, rep
-	}
-	if rep.HeaderDamaged {
-		rep.Declared = 0
 	}
 
-	capHint := min(rep.Declared, maxPreallocRecords)
-	if byBytes := uint64(len(body)-start) / frameSize; capHint > byBytes {
-		capHint = byBytes
+	t.Records = make([]Record, 0, min(rep.Declared, maxPreallocRecords, uint64(len(body)-start)/frameSize))
+	var dmg frame.Damage
+	for p, i := recordFrame.Next(body, start, &dmg); p != nil; p, i = recordFrame.Next(body, i, &dmg) {
+		t.Records = append(t.Records, decodeRecord(p))
 	}
-	t.Records = make([]Record, 0, capHint)
-
-	inBadRun := false
-	i := start
-	for i < len(body) {
-		if len(body)-i >= frameSize && body[i] == sync0 && body[i+1] == sync1 {
-			payload := body[i+2 : i+2+recordPayload]
-			crc := binary.LittleEndian.Uint32(body[i+2+recordPayload:])
-			if crc32.ChecksumIEEE(payload) == crc {
-				t.Records = append(t.Records, decodeRecord(payload))
-				i += frameSize
-				inBadRun = false
-				continue
-			}
-		}
-		// Corrupt byte: start (or continue) a bad run and resync.
-		if !inBadRun {
-			rep.BadSpans++
-			inBadRun = true
-		}
-		rep.SkippedBytes++
-		i++
-	}
-	if inBadRun {
-		rep.TruncatedTail = true
-	}
+	rep.BadSpans, rep.SkippedBytes, rep.TruncatedTail = dmg.BadSpans, dmg.SkippedBytes, dmg.Truncated
 	rep.Recovered = len(t.Records)
 	if rep.Declared > uint64(rep.Recovered) {
 		rep.Lost = int(rep.Declared) - rep.Recovered

@@ -8,11 +8,11 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
+	"act/internal/frame"
 	"act/internal/isa"
 	"act/internal/program"
 	"act/internal/vm"
@@ -90,12 +90,11 @@ func (t *Trace) FilterStack() *Trace {
 //	records: u64 seq | u64 pc | u64 addr | u16 tid | u8 flags
 //
 // flags bit0 = store, bit1 = stack. The plain format has no redundancy:
-// one bad byte used to fail the whole trace. The framed format
-// (version 3, written by default — see framed.go) adds a per-section
-// CRC32 and self-delimiting record frames so a reader can skip corrupted
-// spans and resynchronize.
+// one bad byte used to fail the whole trace. It is read-only now; the
+// framed format (version 3, see framed.go) adds a per-section CRC32 and
+// self-delimiting record frames so a reader can skip corrupted spans
+// and resynchronize.
 const (
-	magic         = "ACTT"
 	versionPlain  = 2 // original format: fixed-size records, no checksums
 	versionFramed = 3 // hardened format: CRC'd header, self-delimiting frames
 )
@@ -113,86 +112,38 @@ var (
 // records are actually read.
 const maxPreallocRecords = 64 * 1024
 
-// WriteLegacy serializes the trace in the plain (version 2) format —
-// kept so tooling can produce streams for consumers that predate the
-// framed format.
-func (t *Trace) WriteLegacy(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	hdr := make([]byte, 2+2+8+8+4)
-	binary.LittleEndian.PutUint16(hdr[0:], versionPlain)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(t.Seed))
-	binary.LittleEndian.PutUint64(hdr[12:], t.Steps)
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(len(t.Program)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Program); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(len(t.Records)))
-	if _, err := bw.Write(cnt[:]); err != nil {
-		return err
-	}
-	rec := make([]byte, recordPayload)
-	for _, r := range t.Records {
-		encodeRecord(rec, r)
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write or WriteLegacy. For framed
-// streams it recovers from corruption, returning the partial trace and
-// no error; use ReadReport when the caller needs to know what was lost.
+// Read deserializes a trace in either format. For framed streams it
+// recovers from corruption, returning the partial trace and no error;
+// use ReadReport when the caller needs to know what was lost.
 func Read(r io.Reader) (*Trace, error) {
 	t, _, err := ReadReport(r)
 	return t, err
 }
 
-// readPlain reads the body of a plain-format stream, after the 8-byte
-// prologue has been consumed. Its behavior on well-formed and on
-// corrupted streams is unchanged from the original all-or-nothing
-// reader, except that the record-slice capacity is no longer
-// preallocated from an unvalidated count.
-func readPlain(br *bufio.Reader) (*Trace, error) {
-	head := make([]byte, 8+8+4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	t := &Trace{
-		Seed:  int64(binary.LittleEndian.Uint64(head[0:])),
-		Steps: binary.LittleEndian.Uint64(head[8:]),
-	}
-	nameLen := binary.LittleEndian.Uint32(head[16:])
-	if nameLen > 1<<20 {
+// readPlain decodes the body of a plain-format stream, after the
+// prologue. Any damage is an error: the format has no redundancy to
+// recover with. Bytes after the declared records are ignored, and the
+// record-slice capacity is never preallocated from an unvalidated count.
+func readPlain(body []byte) (*Trace, error) {
+	d := frame.NewDecoder(body)
+	t := &Trace{Seed: int64(d.U64()), Steps: d.U64()}
+	nameLen := d.U32()
+	if nameLen > maxNameLen {
 		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-	t.Program = string(name)
-	var cnt [8]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(cnt[:])
+	t.Program = string(d.Bytes(int(nameLen)))
+	n := d.U64()
 	if n > 1<<32 {
 		return nil, fmt.Errorf("trace: implausible record count %d", n)
 	}
 	t.Records = make([]Record, 0, min(n, maxPreallocRecords))
-	rec := make([]byte, recordPayload)
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		if rec := d.Bytes(recordPayload); rec != nil {
+			t.Records = append(t.Records, decodeRecord(rec))
 		}
-		t.Records = append(t.Records, decodeRecord(rec))
+	}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("trace: reading plain body: %w", err)
 	}
 	return t, nil
 }

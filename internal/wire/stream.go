@@ -2,11 +2,11 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"act/internal/frame"
 )
 
 // Stream errors. ErrBadMagic and ErrBadVersion mean the peer is not
@@ -98,12 +98,13 @@ func (r *StreamReport) String() string {
 // connection. Frames larger than the payload cap are treated as
 // corruption — the cap is the per-connection memory bound.
 type Reader struct {
-	br         *bufio.Reader
-	maxPayload int
-	rep        StreamReport
-	payload    []byte // NextFrame's reusable payload copy
-	prologue   bool   // already consumed
-	inBad      bool
+	br       *bufio.Reader
+	framing  frame.Typed
+	dmg      frame.Damage
+	frames   int    // frames that decoded cleanly
+	unknown  int    // well-formed frames skipped by Next
+	payload  []byte // NextFrame's reusable payload copy
+	prologue bool   // already consumed
 }
 
 // NewReader wraps r. maxPayload caps accepted frame payloads; 0 means
@@ -115,22 +116,15 @@ func NewReader(r io.Reader, maxPayload int) *Reader {
 	return &Reader{
 		// The buffer must hold a whole frame: resync peeks at full
 		// frames before consuming them.
-		br:         bufio.NewReaderSize(r, maxPayload+frameHdr+frameTail),
-		maxPayload: maxPayload,
+		br:      bufio.NewReaderSize(r, maxPayload+frameHdr+frameTail),
+		framing: frame.Typed{Sync: wireFrames.Sync, MaxPayload: maxPayload},
 	}
 }
 
 // Report returns the damage counters accumulated so far.
-func (rd *Reader) Report() StreamReport { return rd.rep }
-
-// skip discards n bytes as corruption.
-func (rd *Reader) skip(n int) {
-	rd.br.Discard(n)
-	rd.rep.SkippedBytes += int64(n)
-	if !rd.inBad {
-		rd.rep.BadSpans++
-		rd.inBad = true
-	}
+func (rd *Reader) Report() StreamReport {
+	return StreamReport{Frames: rd.frames, BadSpans: rd.dmg.BadSpans, SkippedBytes: rd.dmg.SkippedBytes,
+		Unknown: rd.unknown, Truncated: rd.dmg.Truncated}
 }
 
 // Next returns the next cleanly-decoded batch. At end of stream it
@@ -150,14 +144,14 @@ func (rd *Reader) Next() (*Batch, error) {
 		case MsgBatch:
 			b, derr := DecodeBatch(payload)
 			if derr != nil {
-				rd.rep.Unknown++
+				rd.unknown++
 				continue
 			}
 			return b, nil
 		case MsgState:
-			rd.rep.Unknown++
+			rd.unknown++
 		default:
-			rd.rep.Unknown++
+			rd.unknown++
 		}
 	}
 }
@@ -169,65 +163,49 @@ func (rd *Reader) Next() (*Batch, error) {
 // directly; Next wraps this for batch-only consumers.
 func (rd *Reader) NextFrame() (MsgType, []byte, error) {
 	if !rd.prologue {
-		pro := make([]byte, prologueLen)
-		if _, err := io.ReadFull(rd.br, pro); err != nil {
-			rd.rep.Truncated = true
+		var pro [prologueLen]byte
+		if _, err := io.ReadFull(rd.br, pro[:]); err != nil {
+			rd.dmg.Truncated = true
 			return 0, nil, eofOf(err)
 		}
-		if string(pro[:4]) != Magic {
-			return 0, nil, ErrBadMagic
-		}
-		if v := binary.LittleEndian.Uint16(pro[4:]); v != Version {
-			return 0, nil, fmt.Errorf("%w %d", ErrBadVersion, v)
+		if _, err := wireFormat.Check(pro[:]); err != nil {
+			return 0, nil, err
 		}
 		rd.prologue = true
 	}
-	for {
-		b, err := rd.br.Peek(2)
-		if err != nil {
+	syncLen := len(rd.framing.Sync)
+	for need := syncLen; ; {
+		b, err := rd.br.Peek(need)
+		typ, payload, n, perr := rd.framing.Parse(b)
+		switch {
+		case perr == nil:
+			// Copy the payload out of the bufio window so it survives
+			// the Discard; the buffer is reused across calls.
+			rd.payload = append(rd.payload[:0], payload...)
+			rd.br.Discard(n)
+			rd.frames++
+			rd.dmg.Clean()
+			return MsgType(typ), rd.payload, nil
+		case perr != frame.ErrTruncated:
+			rd.br.Discard(1)
+			rd.dmg.Skip(1)
+			need = syncLen
+		case err == nil:
+			need = n
+		default:
+			// Not enough bytes left for the frame: on a live connection
+			// Peek blocks until they arrive, so an error here is a
+			// genuine end of stream inside a frame. A tail too short to
+			// hold a sync pair is discarded as skipped bytes.
 			if len(b) > 0 {
-				rd.rep.Truncated = true
-				rd.rep.SkippedBytes += int64(len(b))
+				rd.dmg.Truncated = true
+			}
+			if need == syncLen {
+				rd.dmg.SkippedBytes += int64(len(b))
 				rd.br.Discard(len(b))
 			}
 			return 0, nil, eofOf(err)
 		}
-		if b[0] != sync0 || b[1] != sync1 {
-			rd.skip(1)
-			continue
-		}
-		hdr, err := rd.br.Peek(frameHdr)
-		if err != nil {
-			rd.rep.Truncated = true
-			return 0, nil, eofOf(err)
-		}
-		plen := int(binary.LittleEndian.Uint32(hdr[3:]))
-		if plen > rd.maxPayload {
-			rd.skip(1)
-			continue
-		}
-		frame, err := rd.br.Peek(frameHdr + plen + frameTail)
-		if err != nil {
-			// Not enough bytes left for the declared frame: on a live
-			// connection Peek blocks until they arrive, so an error here
-			// is a genuine end-of-stream inside a frame.
-			rd.rep.Truncated = true
-			return 0, nil, eofOf(err)
-		}
-		body := frame[2 : frameHdr+plen]
-		crc := binary.LittleEndian.Uint32(frame[frameHdr+plen:])
-		if crc32.ChecksumIEEE(body) != crc {
-			rd.skip(1)
-			continue
-		}
-		// Copy the payload out of the bufio window so it survives the
-		// Discard; the buffer is reused across calls.
-		typ := MsgType(body[0])
-		rd.payload = append(rd.payload[:0], body[5:]...)
-		rd.br.Discard(frameHdr + plen + frameTail)
-		rd.rep.Frames++
-		rd.inBad = false
-		return typ, rd.payload, nil
 	}
 }
 

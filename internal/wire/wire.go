@@ -1,10 +1,11 @@
 // Package wire is the fleet-telemetry encoding: a versioned, CRC-framed
 // binary format for shipping Debug Buffer entries and monitor statistics
-// from production agents to a central collector. It reuses the
-// sync-byte/skip-and-resync discipline of trace format v3 (see
-// internal/trace): every frame is self-delimiting and individually
-// checksummed, so a torn TCP segment, a crash mid-write, or a corrupted
-// spool file costs only the damaged frames, never the stream.
+// from production agents to a central collector. Its frames are
+// internal/frame's typed frames behind a sync pair, read with the same
+// skip-and-resync discipline as trace format v3: every frame is
+// self-delimiting and individually checksummed, so a torn TCP segment,
+// a crash mid-write, or a corrupted spool file costs only the damaged
+// frames, never the stream.
 //
 // Stream layout:
 //
@@ -26,11 +27,11 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"act/internal/core"
 	"act/internal/deps"
+	"act/internal/frame"
 )
 
 // Format constants.
@@ -40,7 +41,7 @@ const (
 
 	sync0, sync1 = 0xB7, 0x7B
 
-	prologueLen = 4 + 2 + 2
+	prologueLen = frame.PrologueLen
 	frameHdr    = 2 + 1 + 4 // sync pair, type byte, payload length
 	frameTail   = 4         // crc32
 
@@ -52,6 +53,16 @@ const (
 
 	// maxSeqLen bounds a serialized sequence; real sequences are N<=5.
 	maxSeqLen = 255
+)
+
+// The ACTW rules: one accepted version, whose mismatch (like a wrong
+// magic) is a protocol error; frames behind a sync pair, with payloads
+// capped per Reader (DefaultMaxPayload unless configured) and damage
+// skipped and counted rather than returned.
+var (
+	wireFormat = frame.Prologue{Magic: Magic, Version: Version, Oldest: Version,
+		ErrMagic: ErrBadMagic, ErrVersion: ErrBadVersion}
+	wireFrames = frame.Typed{Sync: string([]byte{sync0, sync1}), MaxPayload: DefaultMaxPayload}
 )
 
 // MsgType discriminates frame payloads. The type is annotated
@@ -153,26 +164,22 @@ func (b *Batch) RunKey() uint64 {
 // u16 proc | u64 at | f64 output | u8 mode | u8 seqlen | deps, each
 // u64 S | u64 L | u8 flags (bit 0 = inter-thread).
 func AppendEntry(dst []byte, e core.DebugEntry) []byte {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], e.Proc)
-	dst = append(dst, tmp[:2]...)
-	binary.LittleEndian.PutUint64(tmp[:], e.At)
-	dst = append(dst, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(e.Output))
-	dst = append(dst, tmp[:]...)
-	dst = append(dst, byte(e.Mode), byte(len(e.Seq)))
+	w := frame.Encoder(dst)
+	w.U16(e.Proc)
+	w.U64(e.At)
+	w.F64(e.Output)
+	w.U8(byte(e.Mode))
+	w.U8(byte(len(e.Seq)))
 	for _, d := range e.Seq {
-		binary.LittleEndian.PutUint64(tmp[:], d.S)
-		dst = append(dst, tmp[:]...)
-		binary.LittleEndian.PutUint64(tmp[:], d.L)
-		dst = append(dst, tmp[:]...)
+		w.U64(d.S)
+		w.U64(d.L)
 		var flags byte
 		if d.Inter {
 			flags |= 1
 		}
-		dst = append(dst, flags)
+		w.U8(flags)
 	}
-	return dst
+	return w
 }
 
 // entryFixed is the encoded size of an entry before its dependences.
@@ -181,66 +188,23 @@ const entryFixed = 2 + 8 + 8 + 1 + 1
 // depSize is the encoded size of one dependence.
 const depSize = 8 + 8 + 1
 
-// DecodeEntry reads one entry from b, returning it and the bytes
-// consumed. The decoded entry shares nothing with b.
-func DecodeEntry(b []byte) (core.DebugEntry, int, error) {
-	var e core.DebugEntry
-	if len(b) < entryFixed {
-		return e, 0, fmt.Errorf("wire: entry truncated at %d bytes", len(b))
+// ReadEntry decodes one entry written by AppendEntry; failures land in
+// d. The decoded entry shares nothing with d's input.
+func ReadEntry(d *frame.Decoder) core.DebugEntry {
+	e := core.DebugEntry{Proc: d.U16(), At: d.U64(), Output: d.F64(), Mode: core.Mode(d.U8())}
+	e.Seq = make(deps.Sequence, d.Bound(int(d.U8()), depSize))
+	for i := range e.Seq {
+		e.Seq[i] = deps.Dep{S: d.U64(), L: d.U64(), Inter: d.U8()&1 != 0}
 	}
-	e.Proc = binary.LittleEndian.Uint16(b[0:])
-	e.At = binary.LittleEndian.Uint64(b[2:])
-	e.Output = math.Float64frombits(binary.LittleEndian.Uint64(b[10:]))
-	e.Mode = core.Mode(b[18])
-	n := int(b[19])
-	if len(b) < entryFixed+n*depSize {
-		return e, 0, fmt.Errorf("wire: entry with %d deps truncated at %d bytes", n, len(b))
-	}
-	e.Seq = make(deps.Sequence, n)
-	off := entryFixed
-	for i := 0; i < n; i++ {
-		e.Seq[i] = deps.Dep{
-			S:     binary.LittleEndian.Uint64(b[off:]),
-			L:     binary.LittleEndian.Uint64(b[off+8:]),
-			Inter: b[off+16]&1 != 0,
-		}
-		off += depSize
-	}
-	return e, off, nil
+	return e
 }
 
 // EntrySize returns the encoded size of an entry.
 func EntrySize(e core.DebugEntry) int { return entryFixed + len(e.Seq)*depSize }
 
-// AppendStats serializes the stats snapshot as eight u64 counters.
-func AppendStats(dst []byte, s core.Stats) []byte {
-	var tmp [8]byte
-	for _, v := range [...]uint64{s.Deps, s.Sequences, s.PredictedInvalid,
-		s.Updates, s.ModeSwitches, s.TrainingDeps, s.Snapshots, s.Recoveries} {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		dst = append(dst, tmp[:]...)
-	}
-	return dst
-}
-
-// statsSize is the encoded size of a Stats snapshot.
-const statsSize = 8 * 8
-
-// DecodeStats reads a stats snapshot.
-func DecodeStats(b []byte) (core.Stats, int, error) {
-	if len(b) < statsSize {
-		return core.Stats{}, 0, fmt.Errorf("wire: stats truncated at %d bytes", len(b))
-	}
-	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[i*8:]) }
-	return core.Stats{
-		Deps: u(0), Sequences: u(1), PredictedInvalid: u(2), Updates: u(3),
-		ModeSwitches: u(4), TrainingDeps: u(5), Snapshots: u(6), Recoveries: u(7),
-	}, statsSize, nil
-}
-
 // EncodeBatch serializes a batch payload:
-// u16 agent length | agent | u64 run | u64 seq | u8 outcome | stats |
-// u32 entry count | entries.
+// u16 agent length | agent | u64 run | u64 seq | u8 outcome |
+// stats as eight u64 counters | u32 entry count | entries.
 func EncodeBatch(dst []byte, b *Batch) ([]byte, error) {
 	if len(b.Agent) > math.MaxUint16 {
 		return nil, fmt.Errorf("wire: agent name %d bytes long", len(b.Agent))
@@ -250,89 +214,50 @@ func EncodeBatch(dst []byte, b *Batch) ([]byte, error) {
 			return nil, fmt.Errorf("wire: entry %d sequence length %d exceeds %d", i, len(e.Seq), maxSeqLen)
 		}
 	}
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(b.Agent)))
-	dst = append(dst, tmp[:2]...)
-	dst = append(dst, b.Agent...)
-	binary.LittleEndian.PutUint64(tmp[:], b.Run)
-	dst = append(dst, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], b.Seq)
-	dst = append(dst, tmp[:]...)
-	dst = append(dst, byte(b.Outcome))
-	dst = AppendStats(dst, b.Stats)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(b.Entries)))
-	dst = append(dst, tmp[:4]...)
-	for _, e := range b.Entries {
-		dst = AppendEntry(dst, e)
+	w := frame.Encoder(dst)
+	w.U16(uint16(len(b.Agent)))
+	w = append(w, b.Agent...)
+	w.U64(b.Run)
+	w.U64(b.Seq)
+	w.U8(byte(b.Outcome))
+	s := b.Stats
+	for _, v := range [...]uint64{s.Deps, s.Sequences, s.PredictedInvalid,
+		s.Updates, s.ModeSwitches, s.TrainingDeps, s.Snapshots, s.Recoveries} {
+		w.U64(v)
 	}
-	return dst, nil
+	w.U32(uint32(len(b.Entries)))
+	for _, e := range b.Entries {
+		w = AppendEntry(w, e)
+	}
+	return w, nil
 }
 
 // DecodeBatch parses a batch payload. The result shares no memory with
 // the input, so callers may decode out of a transient read buffer.
 func DecodeBatch(p []byte) (*Batch, error) {
-	if len(p) < 2 {
-		return nil, fmt.Errorf("wire: batch payload %d bytes", len(p))
-	}
-	alen := int(binary.LittleEndian.Uint16(p))
-	off := 2
-	if len(p) < off+alen+8+8+1+statsSize+4 {
-		return nil, fmt.Errorf("wire: batch truncated at %d bytes", len(p))
-	}
-	b := &Batch{Agent: string(p[off : off+alen])}
-	off += alen
-	b.Run = binary.LittleEndian.Uint64(p[off:])
-	b.Seq = binary.LittleEndian.Uint64(p[off+8:])
-	b.Outcome = Outcome(p[off+16])
-	off += 17
-	s, n, err := DecodeStats(p[off:])
-	if err != nil {
-		return nil, err
-	}
-	b.Stats = s
-	off += n
-	count := int(binary.LittleEndian.Uint32(p[off:]))
-	off += 4
-	if count > len(p)-off { // each entry takes at least one byte
-		return nil, fmt.Errorf("wire: batch declares %d entries in %d bytes", count, len(p)-off)
-	}
-	if count > 0 {
-		b.Entries = make([]core.DebugEntry, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		e, n, err := DecodeEntry(p[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: entry %d: %w", i, err)
+	d := frame.NewDecoder(p)
+	b := &Batch{Agent: string(d.Bytes(int(d.U16()))), Run: d.U64(), Seq: d.U64(), Outcome: Outcome(d.U8())}
+	b.Stats = core.Stats{Deps: d.U64(), Sequences: d.U64(), PredictedInvalid: d.U64(), Updates: d.U64(),
+		ModeSwitches: d.U64(), TrainingDeps: d.U64(), Snapshots: d.U64(), Recoveries: d.U64()}
+	if n := d.Count(entryFixed); n > 0 {
+		b.Entries = make([]core.DebugEntry, 0, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			b.Entries = append(b.Entries, ReadEntry(&d))
 		}
-		b.Entries = append(b.Entries, e)
-		off += n
 	}
-	if off != len(p) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after batch", len(p)-off)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("wire: batch: %w", err)
 	}
 	return b, nil
 }
 
 // AppendFrame wraps a payload in a checksummed frame.
 func AppendFrame(dst []byte, typ MsgType, payload []byte) []byte {
-	start := len(dst)
-	dst = append(dst, sync0, sync1, byte(typ))
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(payload)))
-	dst = append(dst, tmp[:]...)
-	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[start+2:]) // type | length | payload
-	binary.LittleEndian.PutUint32(tmp[:], crc)
-	return append(dst, tmp[:]...)
+	return wireFrames.Append(dst, byte(typ), payload)
 }
 
 // AppendPrologue writes the stream prologue.
-func AppendPrologue(dst []byte) []byte {
-	dst = append(dst, Magic...)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint16(tmp[0:], Version)
-	return append(dst, tmp[:]...)
-}
+func AppendPrologue(dst []byte) []byte { return wireFormat.Append(dst) }
 
 // EncodeStateMsg serializes a MsgState payload: a shard's name plus its
 // opaque exported aggregate state (the fleet collector's snapshot
@@ -341,22 +266,19 @@ func EncodeStateMsg(dst []byte, shard string, state []byte) ([]byte, error) {
 	if len(shard) > math.MaxUint16 {
 		return nil, fmt.Errorf("wire: shard name %d bytes long", len(shard))
 	}
-	var tmp [2]byte
-	binary.LittleEndian.PutUint16(tmp[:], uint16(len(shard)))
-	dst = append(dst, tmp[:]...)
-	dst = append(dst, shard...)
-	return append(dst, state...), nil
+	w := frame.Encoder(dst)
+	w.U16(uint16(len(shard)))
+	w = append(w, shard...)
+	return append(w, state...), nil
 }
 
 // DecodeStateMsg parses a MsgState payload. The returned state aliases
 // p; copy it if the frame buffer will be reused.
 func DecodeStateMsg(p []byte) (shard string, state []byte, err error) {
-	if len(p) < 2 {
-		return "", nil, fmt.Errorf("wire: state payload %d bytes", len(p))
+	d := frame.NewDecoder(p)
+	shard = string(d.Bytes(int(d.U16())))
+	if err := d.Err(); err != nil {
+		return "", nil, fmt.Errorf("wire: state payload: %w", err)
 	}
-	n := int(binary.LittleEndian.Uint16(p))
-	if len(p) < 2+n {
-		return "", nil, fmt.Errorf("wire: state payload truncated at %d bytes", len(p))
-	}
-	return string(p[2 : 2+n]), p[2+n:], nil
+	return shard, p[d.Offset():], nil
 }
