@@ -449,6 +449,50 @@ func TestAlwaysValidBinary(t *testing.T) {
 	}
 }
 
+// TestDeployInitialWeights pins a module's weights at deployment: a
+// thread the binary covers starts from exactly the shipped vector, bit
+// for bit, in testing mode; a thread it does not cover starts from the
+// network seeded with seed+tid, in training mode. Parallel replay's
+// determinism (DESIGN.md §10) rests on the second.
+func TestDeployInitialWeights(t *testing.T) {
+	const nIn, nHidden, seed = 4, 3, 77
+	rng := rand.New(rand.NewSource(5))
+	shipped := make([]float64, nHidden*(nIn+1)+nHidden+1)
+	for i := range shipped {
+		shipped[i] = 10 * rng.NormFloat64()
+	}
+	shipped[0] = math.Copysign(0, -1)
+	shipped[1] = math.SmallestNonzeroFloat64
+	shipped[2] = -math.MaxFloat64
+	wb := NewWeightBinary(nIn, nHidden)
+	wb.Patch(1, shipped)
+	tk := NewTracker(wb, TrackerConfig{Module: Config{N: 2}, Seed: seed})
+
+	sameBits := func(tid int, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("thread %d: %d weights, want %d", tid, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("thread %d weight %d = %v, want %v", tid, i, got[i], want[i])
+			}
+		}
+	}
+	m := tk.Module(1)
+	sameBits(1, m.SaveWeights(), shipped)
+	if m.Mode() != Testing {
+		t.Errorf("shipped thread starts in %v, want testing", m.Mode())
+	}
+	for _, tid := range []int{0, 2, 9} {
+		m := tk.Module(tid)
+		sameBits(tid, m.SaveWeights(), nn.New(nIn, nHidden, rand.New(rand.NewSource(seed+int64(tid)))).Flatten(nil))
+		if m.Mode() != Training {
+			t.Errorf("thread %d absent from the binary starts in %v, want training", tid, m.Mode())
+		}
+	}
+}
+
 // alwaysInvalidBinary mirrors AlwaysValidBinary with the output bias on
 // the reject side: every sequence is predicted invalid and logged.
 func alwaysInvalidBinary(nIn, nHidden, nThreads int) *WeightBinary {

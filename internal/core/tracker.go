@@ -196,9 +196,16 @@ func (t *Tracker) moduleAt(tid int) *Module {
 			return m
 		}
 	}
-	net := nn.New(t.binary.NIn, t.binary.NHidden, rand.New(rand.NewSource(t.seed+int64(tid))))
-	m := NewModule(net, t.cfg)
-	if w := t.binary.Get(tid); w != nil {
+	// Only a thread the binary has no weights for keeps its initial
+	// weights, so only it pays for seeding a PRNG; a shipped thread's
+	// zero weights are overwritten by LoadWeights.
+	w := t.binary.Get(tid)
+	var rng *rand.Rand
+	if w == nil {
+		rng = rand.New(rand.NewSource(t.seed + int64(tid)))
+	}
+	m := NewModule(nn.New(t.binary.NIn, t.binary.NHidden, rng), t.cfg)
+	if w != nil {
 		if err := m.LoadWeights(w); err != nil {
 			panic(err) // topology checked in NewTracker; unreachable
 		}

@@ -14,6 +14,7 @@
 package deps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -38,23 +39,29 @@ func (d Dep) String() string {
 // processor, oldest first, newest (the dependence under test) last.
 type Sequence []Dep
 
+// keyLen is the number of Key bytes per dependence: S and L, each
+// little-endian, then the Inter flag.
+const keyLen = 17
+
 // Key returns a canonical map key for the sequence.
 func (s Sequence) Key() string {
-	b := make([]byte, 0, len(s)*17)
+	return string(s.appendKey(make([]byte, 0, len(s)*keyLen)))
+}
+
+// appendKey appends the sequence's Key bytes to dst. Because every
+// dependence takes keyLen bytes, the key of s[:i] is the first keyLen*i
+// bytes of the key of s.
+func (s Sequence) appendKey(dst []byte) []byte {
 	for _, d := range s {
-		for i := 0; i < 8; i++ {
-			b = append(b, byte(d.S>>(8*i)))
-		}
-		for i := 0; i < 8; i++ {
-			b = append(b, byte(d.L>>(8*i)))
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, d.S)
+		dst = binary.LittleEndian.AppendUint64(dst, d.L)
 		if d.Inter {
-			b = append(b, 1)
+			dst = append(dst, 1)
 		} else {
-			b = append(b, 0)
+			dst = append(dst, 0)
 		}
 	}
-	return string(b)
+	return dst
 }
 
 // FNV-1a constants (64-bit).
@@ -318,13 +325,19 @@ func NewExtractor(cfg ExtractorConfig) *Extractor {
 func (e *Extractor) N() int { return e.n }
 
 // Reset clears all last-writer and window state (e.g. between traces)
-// while keeping the configuration and callbacks.
+// while keeping the configuration and callbacks. The table and window
+// rings keep their memory, so an extractor reused across traces stops
+// allocating once it has seen its largest one.
 func (e *Extractor) Reset() {
 	e.last.reset()
 	if e.prev != nil {
 		clear(e.prev)
 	}
-	e.wins = nil
+	for _, w := range e.wins {
+		if w != nil {
+			w.head, w.cnt = 0, 0
+		}
+	}
 }
 
 // win returns (creating on first use) tid's window ring.

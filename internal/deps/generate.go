@@ -359,23 +359,35 @@ func l1Close(a, b []float64, eps float64) bool {
 }
 
 // SeqSet is a set of dependence sequences with prefix-match queries: the
-// Correct Set of the paper's offline postprocessing.
+// Correct Set of the paper's offline postprocessing. Members and their
+// prefixes are keyed by their exact Key bytes, never by a digest.
 type SeqSet struct {
 	n    int
 	full map[string]struct{}
 	pre  map[string]struct{} // every proper prefix of every member
+	buf  []byte              // Add's encoding scratch
 }
+
+// lookupDeps is the sequence length up to which Contains and MatchCount
+// encode their lookup key on the stack and so never allocate.
+const lookupDeps = 8
 
 // NewSeqSet returns an empty set for sequences of length n.
 func NewSeqSet(n int) *SeqSet {
 	return &SeqSet{n: n, full: make(map[string]struct{}), pre: make(map[string]struct{})}
 }
 
-// Add inserts a sequence and all its prefixes.
+// Add inserts a sequence and all its prefixes. Adding a member again
+// costs one lookup and no allocation: its prefixes went in with it.
 func (ss *SeqSet) Add(s Sequence) {
-	ss.full[s.Key()] = struct{}{}
+	ss.buf = s.appendKey(ss.buf[:0])
+	if _, ok := ss.full[string(ss.buf)]; ok {
+		return
+	}
+	k := string(ss.buf)
+	ss.full[k] = struct{}{}
 	for i := 1; i < len(s); i++ {
-		ss.pre[s[:i].Key()] = struct{}{}
+		ss.pre[k[:keyLen*i]] = struct{}{}
 	}
 }
 
@@ -384,7 +396,9 @@ func (ss *SeqSet) Len() int { return len(ss.full) }
 
 // Contains reports whether the exact sequence is in the set.
 func (ss *SeqSet) Contains(s Sequence) bool {
-	_, ok := ss.full[s.Key()]
+	var stack [lookupDeps * keyLen]byte
+	k := s.appendKey(stack[:0])
+	_, ok := ss.full[string(k)]
 	return ok
 }
 
@@ -392,14 +406,17 @@ func (ss *SeqSet) Contains(s Sequence) bool {
 // a prefix of some member sequence — the paper's "number of matched RAW
 // dependences" used for ranking.
 func (ss *SeqSet) MatchCount(s Sequence) int {
-	if ss.Contains(s) {
+	var stack [lookupDeps * keyLen]byte
+	k := s.appendKey(stack[:0])
+	if _, ok := ss.full[string(k)]; ok {
 		return len(s)
 	}
 	for i := len(s) - 1; i >= 1; i-- {
-		if _, ok := ss.pre[s[:i].Key()]; ok {
+		p := k[:keyLen*i]
+		if _, ok := ss.pre[string(p)]; ok {
 			return i
 		}
-		if _, ok := ss.full[s[:i].Key()]; ok {
+		if _, ok := ss.full[string(p)]; ok {
 			return i
 		}
 	}
@@ -408,16 +425,20 @@ func (ss *SeqSet) MatchCount(s Sequence) int {
 
 // CollectSequences builds a SeqSet of every sequence occurring in the
 // given traces — the Correct Set when the traces come from correct runs.
+// Each trace is an independent execution, so the extractor is reset
+// between traces; it and the sequence buffer are reused across them.
 func CollectSequences(traces []*trace.Trace, cfg ExtractorConfig) *SeqSet {
 	ss := NewSeqSet(cfg.N)
+	e := NewExtractor(cfg)
+	seq := make(Sequence, e.n)
 	for _, t := range traces {
-		e := NewExtractor(cfg)
-		e.OnSequence = func(_ uint16, s Sequence) { ss.Add(s) }
+		e.Reset()
 		for _, r := range t.Records {
 			if r.Store {
 				e.Store(r.Tid, r.PC, r.Addr, r.Stack)
-			} else {
-				e.Load(r.Tid, r.PC, r.Addr, r.Stack)
+			} else if _, ok := e.Load(r.Tid, r.PC, r.Addr, r.Stack); ok {
+				e.wins[r.Tid].fill(seq)
+				ss.Add(seq)
 			}
 		}
 	}

@@ -53,7 +53,8 @@ type Network struct {
 }
 
 // New creates a network with the given topology and small random
-// weights.
+// weights drawn from rng. A nil rng leaves every weight zero, for
+// callers that load weights right away.
 func New(nIn, nHidden int, rng *rand.Rand) *Network {
 	if nIn < 1 || nIn > MaxInputs || nHidden < 1 || nHidden > MaxInputs {
 		panic(fmt.Sprintf("nn: invalid topology %d-%d-1", nIn, nHidden))
@@ -61,17 +62,20 @@ func New(nIn, nHidden int, rng *rand.Rand) *Network {
 	n := &Network{NIn: nIn, NHidden: nHidden, Act: Sigmoid}
 	n.WH = make([][]float64, nHidden)
 	for h := range n.WH {
-		w := make([]float64, nIn+1)
-		for i := range w {
-			w[i] = rng.Float64() - 0.5
-		}
-		n.WH[h] = w
+		n.WH[h] = make([]float64, nIn+1)
 	}
 	n.WO = make([]float64, nHidden+1)
-	for i := range n.WO {
-		n.WO[i] = rng.Float64() - 0.5
-	}
 	n.hidden = make([]float64, nHidden)
+	if rng != nil {
+		for _, w := range n.WH {
+			for i := range w {
+				w[i] = rng.Float64() - 0.5
+			}
+		}
+		for i := range n.WO {
+			n.WO[i] = rng.Float64() - 0.5
+		}
+	}
 	return n
 }
 
@@ -261,12 +265,7 @@ func (n *Network) UnmarshalBinary(data []byte) error {
 	for i := range flat {
 		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[blobHeader+8*i:]))
 	}
-	*n = Network{NIn: nIn, NHidden: nHidden, Act: Sigmoid, hidden: make([]float64, nHidden)}
-	n.WH = make([][]float64, nHidden)
-	for h := range n.WH {
-		n.WH[h] = make([]float64, nIn+1)
-	}
-	n.WO = make([]float64, nHidden+1)
+	*n = *New(nIn, nHidden, nil)
 	return n.LoadFlat(flat)
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -140,8 +141,16 @@ func ReadReport(r io.Reader) (*Trace, *CorruptionReport, error) {
 		return nil, nil, err
 	}
 	// The body is consumed whole: traces in this system are in-memory
-	// objects anyway, and resynchronization needs random access.
-	body, err := io.ReadAll(r)
+	// objects anyway, and resynchronization needs random access. A
+	// reader that knows its remaining length (bytes.Reader and the like)
+	// sizes the buffer in one allocation; the length is only a capacity
+	// hint, and the body is whatever the reads return up to EOF.
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() > 0 {
+		buf.Grow(l.Len() + bytes.MinRead) // ReadFrom wants MinRead spare before it sees EOF
+	}
+	_, err = buf.ReadFrom(r)
+	body := buf.Bytes()
 	if v == versionPlain {
 		if err != nil {
 			return nil, nil, fmt.Errorf("trace: reading body: %w", err)

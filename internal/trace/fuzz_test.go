@@ -2,14 +2,20 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
+	"reflect"
 	"testing"
 )
 
 // FuzzRead drives ReadReport with arbitrary bytes: it must never panic,
 // never over-allocate from unvalidated length fields, and never return
-// both a nil trace and a nil error. Seeds cover both formats plus the
-// truncations and bit flips the fault injector produces.
+// both a nil trace and a nil error. Each input is read twice, once
+// through a reader that reports its length and once through one that
+// hides it, and both reads must agree: the length only sizes a buffer.
+// Seeds cover both formats plus the truncations and bit flips the fault
+// injector produces.
 func FuzzRead(f *testing.F) {
 	mk := func(write func(*Trace, *bytes.Buffer) error) []byte {
 		tr := bigTrace(16)
@@ -37,6 +43,10 @@ func FuzzRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, rep, err := ReadReport(bytes.NewReader(data))
+		htr, hrep, herr := ReadReport(struct{ io.Reader }{bytes.NewReader(data)})
+		if fmt.Sprint(err) != fmt.Sprint(herr) || !reflect.DeepEqual(tr, htr) || !reflect.DeepEqual(rep, hrep) {
+			t.Fatalf("sized read (%v, %+v) differs from unsized read (%v, %+v)", err, rep, herr, hrep)
+		}
 		if err != nil {
 			if tr != nil {
 				t.Fatalf("error %v with non-nil trace", err)

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"act/internal/program"
@@ -271,6 +274,55 @@ func TestFramedDuplicateAndReorderSurvive(t *testing.T) {
 	}
 	if len(got.Records) != 11 || rep.Lost != 0 {
 		t.Fatalf("duplicate frame: records=%d rep=%+v", len(got.Records), rep)
+	}
+}
+
+// TestReadErrorAfterPrologue: a read error after the prologue loses a
+// framed body whole (the partial body is not decoded) and fails a plain
+// one.
+func TestReadErrorAfterPrologue(t *testing.T) {
+	boom := errors.New("boom")
+	var framed bytes.Buffer
+	if err := bigTrace(20).Write(&framed); err != nil {
+		t.Fatal(err)
+	}
+	r := io.MultiReader(bytes.NewReader(framed.Bytes()[:framed.Len()/2]), iotest.ErrReader(boom))
+	got, rep, err := ReadReport(r)
+	if err != nil {
+		t.Fatalf("framed read error surfaced: %v", err)
+	}
+	if len(got.Records) != 0 || !rep.HeaderDamaged || !rep.TruncatedTail || rep.Recovered != 0 {
+		t.Fatalf("framed body not lost whole: %d records, %+v", len(got.Records), rep)
+	}
+
+	legacy, err := os.ReadFile("testdata/v2.actt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = io.MultiReader(bytes.NewReader(legacy[:len(legacy)/2]), iotest.ErrReader(boom))
+	if got, _, err := ReadReport(r); !errors.Is(err, boom) || got != nil {
+		t.Fatalf("plain read error: trace %v, err %v; want nil trace and %v", got, err, boom)
+	}
+}
+
+// TestReadAllocationsFlat: reading from a reader that reports its length
+// allocates a fixed number of times, however many records the trace
+// holds (below the preallocation cap).
+func TestReadAllocationsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		var buf bytes.Buffer
+		if err := bigTrace(n).Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := ReadReport(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(16_000); large != small {
+		t.Fatalf("ReadReport allocations: %v for 16 records, %v for 16000", small, large)
 	}
 }
 
