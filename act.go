@@ -278,19 +278,6 @@ func WithDeployGranularity(bytes uint64) DeployOption {
 	return func(c *deployCfg) { c.tracker.Granularity = bytes }
 }
 
-// WithVerdictCache enables verdict memoization: while a module's
-// weights are unchanged, repeated sequences are classified from an LRU
-// of previous network outputs keyed by the sequence's hash, instead of
-// re-running the network. entries sets the per-module capacity; pass a
-// negative value for the default size. The cache is invalidated on
-// every weight update, mode switch, and breaker recovery, so cached
-// verdicts are always what the network would produce; hits and misses
-// appear in Stats. Off by default (the faithful hardware model computes
-// every sequence).
-func WithVerdictCache(entries int) DeployOption {
-	return func(c *deployCfg) { c.tracker.Module.VerdictCache = entries }
-}
-
 // WithQuantized enables fixed-point batched classification: each
 // module compiles its live float weights into an int16 Q-format kernel
 // (the arithmetic nn.Quantize models for the paper's hardware AM) and
@@ -409,7 +396,7 @@ func (mo *Monitor) StatsSnapshot() core.Stats { return mo.tracker.StatsSnapshot(
 
 // Metrics returns the monitor's observability registry with the
 // act_core_* series registered (deps and sequences processed, verdicts,
-// mode switches, breaker activity, cache hits). Mount it with
+// mode switches, breaker activity, weight generations). Mount it with
 // obs.Handler or obs.StartServer, or render it directly with
 // WritePrometheus. The registry is created on first call; scraping it is
 // safe concurrently with ReplayParallel (series backed by

@@ -243,8 +243,6 @@ func BenchmarkPipelineReplay(b *testing.B) {
 			case "parallel":
 				b.ReportMetric(r.RecordsPerSec, "parRec/s")
 				b.ReportMetric(r.Speedup, "parSpeedup")
-			case "parallel+cache":
-				b.ReportMetric(r.CacheHitRate, "cacheHit")
 			}
 		}
 	}

@@ -60,7 +60,7 @@ const obsScrapeInterval = 10 * time.Millisecond
 // scraper rendering the full metric surface (the tracker's registry plus
 // obs.Default) far more often than a real scraper would.
 func runObs(tr *trace.Trace, threads, passes int, parallel, scraped bool) ObsRow {
-	t := pipelineTracker(threads, 0, false)
+	t := pipelineTracker(threads, false)
 	reg := obs.NewRegistry()
 	t.RegisterMetrics(reg)
 	t.Replay(tr) // warm-up: module creation, lazy buffers

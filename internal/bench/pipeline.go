@@ -18,14 +18,14 @@ import (
 // Monitoring-pipeline throughput experiment. Unlike the paper-shaped
 // tables, this one measures the reproduction itself: how many trace
 // records per second the software AM pipeline sustains, sequentially
-// versus with parallel sharded replay, with and without verdict
-// memoization. cmd/actbench -exp pipeline prints the rows and, with
+// versus with parallel sharded replay, in float and with the quantized
+// batch kernel. cmd/actbench -exp pipeline prints the rows and, with
 // -json, writes them as BENCH_pipeline.json (format in EXPERIMENTS.md)
 // so the throughput trajectory is tracked across commits.
 
 // PipelineRow is one measured pipeline configuration.
 type PipelineRow struct {
-	Config        string  `json:"config"`          // "sequential", "parallel", "+cache" variants
+	Config        string  `json:"config"`          // "sequential", "parallel", "+quant"/"+ckpt" variants
 	Threads       int     `json:"threads"`         // worker threads in the replayed trace
 	Records       int     `json:"records"`         // trace records replayed per pass
 	Deps          uint64  `json:"deps"`            // dependences classified per pass
@@ -33,7 +33,6 @@ type PipelineRow struct {
 	RecordsPerSec float64 `json:"records_per_sec"` // throughput over all passes
 	NsPerDep      float64 `json:"ns_per_dep"`      // wall time per classified dependence
 	AllocsPerDep  float64 `json:"allocs_per_dep"`  // heap allocations per dependence (steady state)
-	CacheHitRate  float64 `json:"cache_hit_rate"`  // verdict-cache hits / classifications
 	Speedup       float64 `json:"speedup"`         // vs the sequential row of the same run
 	GOMAXPROCS    int     `json:"gomaxprocs"`      // parallelism available to the run
 }
@@ -44,8 +43,8 @@ type PipelineReport struct {
 	Rows     []PipelineRow `json:"rows"`
 	// QuantSpeedup is the sequential+quant configuration's records/sec
 	// divided by the plain sequential configuration's — the gain from
-	// the compiled int16 batch kernel alone, with no parallelism and no
-	// verdict cache in either term. It is measured from paired
+	// the compiled int16 batch kernel and its window memo, with no
+	// parallelism in either term. It is measured from paired
 	// back-to-back float/quant attempts (best ratio of three pairs), so
 	// machine-speed drift during the run moves both terms of a pair
 	// together instead of skewing the ratio.
@@ -102,8 +101,8 @@ func pipelineMinDur(m Mode) time.Duration {
 // pipelineTracker deploys a converged always-valid binary (N=3, 6-8-1
 // by default) so the measurement isolates steady-state classification:
 // testing mode throughout, no Debug Buffer churn.
-func pipelineTracker(threads, cache int, quant bool) *core.Tracker {
-	cfg := core.Config{N: 3, VerdictCache: cache, Quantized: quant}
+func pipelineTracker(threads int, quant bool) *core.Tracker {
+	cfg := core.Config{N: 3, Quantized: quant}
 	nIn := deps.InputLen(deps.EncodeDefault, 3)
 	binary := core.AlwaysValidBinary(nIn, 8, threads)
 	return core.NewTracker(binary, core.TrackerConfig{Module: cfg})
@@ -115,8 +114,8 @@ func pipelineTracker(threads, cache int, quant bool) *core.Tracker {
 // count: the fastest configurations replay this trace in tens of
 // microseconds, and a sub-millisecond timing window turns scheduler
 // jitter into 2× swings in the ratios CI asserts on.
-func runPipeline(tr *trace.Trace, threads, minPasses int, minDur time.Duration, parallel bool, cache int, quant bool, ck core.CheckpointConfig) PipelineRow {
-	t := pipelineTracker(threads, cache, quant)
+func runPipeline(tr *trace.Trace, threads, minPasses int, minDur time.Duration, parallel, quant bool, ck core.CheckpointConfig) PipelineRow {
+	t := pipelineTracker(threads, quant)
 	// Warm-up pass: module creation, lazy buffers, map growth.
 	t.Replay(tr)
 
@@ -160,15 +159,12 @@ func runPipeline(tr *trace.Trace, threads, minPasses int, minDur time.Duration, 
 		row.NsPerDep = float64(elapsed.Nanoseconds()) / float64(deps)
 		row.AllocsPerDep = float64(ms1.Mallocs-ms0.Mallocs) / float64(deps)
 	}
-	if cls := st.CacheHits + st.CacheMisses; cls > 0 {
-		row.CacheHitRate = float64(st.CacheHits) / float64(cls)
-	}
 	return row
 }
 
 // Pipeline measures the six pipeline configurations on the same trace
-// in one run: sequential and parallel replay, each without and with the
-// verdict cache, plus both with the quantized int16 batch kernel.
+// in one run: sequential and parallel replay, each in float, with the
+// quantized int16 batch kernel, and checkpointing.
 // Speedups are relative to the plain sequential row, and the
 // sequential+quant ratio is asserted against QuantFloor.
 func Pipeline(m Mode) (*PipelineReport, error) {
@@ -189,18 +185,15 @@ func Pipeline(m Mode) (*PipelineReport, error) {
 	configs := []struct {
 		name     string
 		parallel bool
-		cache    int
 		quant    bool
 		ck       core.CheckpointConfig
 	}{
-		{"sequential", false, 0, false, core.CheckpointConfig{}},
-		{"parallel", true, 0, false, core.CheckpointConfig{}},
-		{"sequential+cache", false, -1, false, core.CheckpointConfig{}},
-		{"parallel+cache", true, -1, false, core.CheckpointConfig{}},
-		{"sequential+quant", false, 0, true, core.CheckpointConfig{}},
-		{"parallel+quant", true, 0, true, core.CheckpointConfig{}},
-		{"sequential+ckpt", false, 0, false, rowCk},
-		{"parallel+ckpt", true, 0, false, rowCk},
+		{"sequential", false, false, core.CheckpointConfig{}},
+		{"parallel", true, false, core.CheckpointConfig{}},
+		{"sequential+quant", false, true, core.CheckpointConfig{}},
+		{"parallel+quant", true, true, core.CheckpointConfig{}},
+		{"sequential+ckpt", false, false, rowCk},
+		{"parallel+ckpt", true, false, rowCk},
 	}
 	rep := &PipelineReport{Workload: "radix", QuantFloor: 3.0}
 	for _, c := range configs {
@@ -208,7 +201,7 @@ func Pipeline(m Mode) (*PipelineReport, error) {
 		// ratios are about systematic cost, not scheduler jitter.
 		var row PipelineRow
 		for i := 0; i < 3; i++ {
-			r := runPipeline(tr, threads, passes, pipelineMinDur(m), c.parallel, c.cache, c.quant, c.ck)
+			r := runPipeline(tr, threads, passes, pipelineMinDur(m), c.parallel, c.quant, c.ck)
 			if r.RecordsPerSec > row.RecordsPerSec {
 				row = r
 			}
@@ -226,8 +219,8 @@ func Pipeline(m Mode) (*PipelineReport, error) {
 	// each pair times float then quant back to back, so a slow stretch
 	// of the machine slows both terms instead of faking a regression.
 	for i := 0; i < 3; i++ {
-		f := runPipeline(tr, threads, passes, pipelineMinDur(m), false, 0, false, core.CheckpointConfig{})
-		q := runPipeline(tr, threads, passes, pipelineMinDur(m), false, 0, true, core.CheckpointConfig{})
+		f := runPipeline(tr, threads, passes, pipelineMinDur(m), false, false, core.CheckpointConfig{})
+		q := runPipeline(tr, threads, passes, pipelineMinDur(m), false, true, core.CheckpointConfig{})
 		if f.RecordsPerSec > 0 {
 			if r := q.RecordsPerSec / f.RecordsPerSec; r > rep.QuantSpeedup {
 				rep.QuantSpeedup = r
@@ -257,7 +250,7 @@ func measureCkptOverhead(rep *PipelineReport, tr *trace.Trace, threads int) erro
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "amortized.ckpt")
 
-	t := pipelineTracker(threads, 0, false)
+	t := pipelineTracker(threads, false)
 	t.Replay(tr)
 	best := time.Duration(0)
 	bytes := 0
@@ -291,9 +284,8 @@ func measureCkptOverhead(rep *PipelineReport, tr *trace.Trace, threads int) erro
 func RenderPipeline(rep *PipelineReport) string {
 	out := make([]string, 0, len(rep.Rows))
 	for _, r := range rep.Rows {
-		out = append(out, fmt.Sprintf("%s\t%.0f\t%.1f\t%.3f\t%.1f\t%.2fx",
-			r.Config, r.RecordsPerSec, r.NsPerDep, r.AllocsPerDep,
-			100*r.CacheHitRate, r.Speedup))
+		out = append(out, fmt.Sprintf("%s\t%.0f\t%.1f\t%.3f\t%.2fx",
+			r.Config, r.RecordsPerSec, r.NsPerDep, r.AllocsPerDep, r.Speedup))
 	}
 	ok := "FAIL"
 	if rep.QuantOK {
@@ -303,7 +295,7 @@ func RenderPipeline(rep *PipelineReport) string {
 	if rep.CkptOK {
 		ckOK = "ok"
 	}
-	return table("Config\tRecords/s\tns/dep\tAllocs/dep\tCacheHit%\tSpeedup", out) +
+	return table("Config\tRecords/s\tns/dep\tAllocs/dep\tSpeedup", out) +
 		fmt.Sprintf("(workload %s, %d threads, GOMAXPROCS=%d; speedup vs sequential\n"+
 			" in the same run; parallel gains require GOMAXPROCS > 1;\n"+
 			" +ckpt rows fsync 4 images per pass — see ckpt overhead below\n"+

@@ -13,11 +13,10 @@
 //
 // Deliberately NOT captured, because they are pure functions of
 // (weight generation, window) and rebuild on demand with identical
-// values: the compiled quantized kernel, the window memo, and the
-// verdict cache's entries. Dropping the verdict cache can shift
-// CacheHits/CacheMisses after a resume — those counters are monitoring,
-// not diagnosis observables, and no report renders them. Everything a
-// ranked report or RCA verdict is derived from survives exactly.
+// values: the compiled quantized kernel and the window memo. Everything
+// a ranked report or RCA verdict is derived from survives exactly.
+// Stats.CacheHits/CacheMisses keep their slots in the module section
+// but are always zero, and restore ignores the decoded values.
 //
 // The header section pins the identity of the run: trace fingerprint,
 // seed, and a configuration fingerprint. Resume refuses (or, in lenient
@@ -128,9 +127,9 @@ func (m *Module) restoreState(st *ModuleState) error {
 	m.badWindows = st.BadWind
 	m.lastRate = st.LastRate
 	m.stats.store(st.Stats)
-	// Derived state (compiled kernel, window memo, verdict cache) is
-	// left to rebuild: generation staleness checks already orphan it,
-	// and rebuilt values are bit-identical by the purity argument above.
+	// Derived state (compiled kernel, window memo) is left to rebuild:
+	// generation staleness checks already orphan it, and rebuilt values
+	// are bit-identical by the purity argument above.
 	return nil
 }
 
@@ -144,8 +143,6 @@ func (s *moduleStats) store(v Stats) {
 	s.trainingDeps.Store(v.TrainingDeps)
 	s.snapshots.Store(v.Snapshots)
 	s.recoveries.Store(v.Recoveries)
-	s.cacheHits.Store(v.CacheHits)
-	s.cacheMisses.Store(v.CacheMisses)
 }
 
 // ExportState captures the whole deployment, modules in ascending
@@ -219,8 +216,8 @@ func (t *Tracker) cfgFingerprint() uint64 {
 		uint64(c.N), uint64(c.IGBSize), uint64(c.DebugBufSize),
 		uint64(c.CheckInterval), math.Float64bits(c.LearningRate),
 		math.Float64bits(c.MispredThreshold), uint64(int64(c.RecoveryWindows)),
-		math.Float64bits(c.SaturationEps), uint64(int64(c.VerdictCache)),
-		b2u64(c.Quantized), t.tcfg.Granularity, b2u64(t.tcfg.FilterStack),
+		math.Float64bits(c.SaturationEps), b2u64(c.Quantized),
+		t.tcfg.Granularity, b2u64(t.tcfg.FilterStack),
 	} {
 		h = ckptMix(h, x)
 	}
@@ -236,20 +233,9 @@ func b2u64(b bool) uint64 {
 
 // --- binary codec ---------------------------------------------------
 
-func appendDep(w *frame.Encoder, d deps.Dep) {
-	w.U64(d.S)
-	w.U64(d.L)
-	var f byte
-	if d.Inter {
-		f = 1
-	}
-	w.U8(f)
-}
+func appendDep(w *frame.Encoder, d deps.Dep) { *w = deps.AppendDep(*w, d) }
 
-func readDep(d *frame.Decoder) deps.Dep {
-	s, l := d.U64(), d.U64()
-	return deps.Dep{S: s, L: l, Inter: d.U8()&1 != 0}
-}
+func readDep(d *frame.Decoder) deps.Dep { return deps.DecodeDep(d.Bytes(deps.DepSize)) }
 
 // finishSection returns a section decoder's failure, trailing bytes
 // included, naming the section.

@@ -79,24 +79,8 @@ type Config struct {
 	// are what corrupted large-magnitude weights produce. 0 means the
 	// default 1e-6.
 	SaturationEps float64
-	// VerdictCache enables memoization of network verdicts: while the
-	// weights are unchanged, a repeated sequence's output is served from
-	// an LRU keyed by the sequence's FNV-1a hash instead of re-running
-	// the network. 0 (the zero value) disables it — the faithful
-	// hardware model computes every sequence — a positive value is the
-	// entry capacity, and any negative value enables it at
-	// DefaultVerdictCache entries. The cache is invalidated by every
-	// weight update, mode switch, and breaker recovery; hits and misses
-	// are counted in Stats.
-	VerdictCache int
-	Encoder      deps.Encoder // feature encoding; default deps.EncodeDefault
-	// DepEncoder is the per-dependence form of Encoder, required by the
-	// batched fixed-point classification path (see Quantized). It
-	// defaults to the per-dependence twin of a built-in Encoder; a
-	// custom Encoder without a matching DepEncoder simply disables
-	// batching (per-dependence classification still works).
-	DepEncoder deps.DepEncoder
-	LUT        *nn.SigmoidLUT
+	Encoder       deps.Encoder // feature encoding; default deps.EncodeDefault
+	LUT           *nn.SigmoidLUT
 	// Quantized enables fixed-point inference: testing-mode
 	// classifications run through an nn.QNetwork compiled from the live
 	// weights — int16 registers, int32 accumulation, the LUT as the only
@@ -135,14 +119,8 @@ func (c Config) withDefaults() Config {
 	if c.SaturationEps == 0 {
 		c.SaturationEps = 1e-6
 	}
-	if c.VerdictCache < 0 {
-		c.VerdictCache = DefaultVerdictCache
-	}
 	if c.Encoder == nil {
 		c.Encoder = deps.EncodeDefault
-	}
-	if c.DepEncoder == nil {
-		c.DepEncoder = deps.PairedDepEncoder(c.Encoder)
 	}
 	if c.LUT == nil {
 		c.LUT = nn.DefaultLUT()
@@ -233,8 +211,14 @@ type Stats struct {
 	TrainingDeps     uint64 // dependences processed while training
 	Snapshots        uint64 // weight snapshots taken on healthy windows
 	Recoveries       uint64 // rollbacks to the last-known-good snapshot
-	CacheHits        uint64 // verdicts served from the memoization cache
-	CacheMisses      uint64 // testing-mode classifications the cache missed
+	// CacheHits and CacheMisses are always zero. They counted a verdict
+	// cache that no longer exists; the fields stay because the ACTK
+	// module section carries their slots and perf/ hashes Stats field
+	// by field. Window-memo hits are deliberately not counted here: the
+	// memo is not checkpointed and its hits depend on batch chunking,
+	// so Stats would stop being identical across chunkings and resumes.
+	CacheHits   uint64
+	CacheMisses uint64
 }
 
 // moduleStats is the live form of Stats: each counter individually
@@ -252,23 +236,24 @@ type moduleStats struct {
 	trainingDeps     atomic.Uint64
 	snapshots        atomic.Uint64
 	recoveries       atomic.Uint64
-	cacheHits        atomic.Uint64
-	cacheMisses      atomic.Uint64
 }
 
-// load materializes the counters as a plain Stats value.
+// load materializes the counters as a plain Stats value. The owner adds
+// to deps before trainingDeps, sequences, and predictedInvalid — per
+// dependence in OnDep, per chunk in the batch path — so loading them in
+// the opposite order (the literal's calls run left to right) keeps even
+// a mid-replay snapshot within PredictedInvalid ≤ Sequences ≤ Deps and
+// TrainingDeps ≤ Deps.
 func (s *moduleStats) load() Stats {
 	return Stats{
-		Deps:             s.deps.Load(),
-		Sequences:        s.sequences.Load(),
 		PredictedInvalid: s.predictedInvalid.Load(),
+		Sequences:        s.sequences.Load(),
+		TrainingDeps:     s.trainingDeps.Load(),
+		Deps:             s.deps.Load(),
 		Updates:          s.updates.Load(),
 		ModeSwitches:     s.modeSwitches.Load(),
-		TrainingDeps:     s.trainingDeps.Load(),
 		Snapshots:        s.snapshots.Load(),
 		Recoveries:       s.recoveries.Load(),
-		CacheHits:        s.cacheHits.Load(),
-		CacheMisses:      s.cacheMisses.Load(),
 	}
 }
 
@@ -323,12 +308,11 @@ type Module struct {
 	seqbuf deps.Sequence
 	xbuf   []float64
 
-	// Verdict memoization: vc caches testing-mode outputs keyed by
-	// sequence hash, gen is bumped by every weight mutation and mode
-	// switch so stale verdicts are never served. gen is atomic only so
-	// the metrics exporter can sample weight-update generations during
+	// gen is bumped by every weight mutation and mode switch, so the
+	// compiled kernel and the window memo (quant.go) are never used
+	// under weights they were not built for. It is atomic only so the
+	// metrics exporter can sample weight-update generations during
 	// ReplayParallel; the owning goroutine remains the sole writer.
-	vc  *verdictCache
 	gen atomic.Uint64
 
 	// Output-trajectory ring: the last TrajDepth network outputs, kept
@@ -343,7 +327,6 @@ type Module struct {
 	// qnet is the kernel compiled for weight generation qgen; qbad
 	// remembers a failed compile for generation qbadGen so a poisoned
 	// weight state falls back to float without retrying per dependence.
-	// fpd is the per-dependence feature width (0 disables batching);
 	// qdeps/qfeat/qouts are the grow-once batch staging slabs. qmemo is
 	// the generation-stamped window memo the batch path consults before
 	// encoding (see quant.go); qhash/qmiss are its per-chunk scratch.
@@ -351,7 +334,6 @@ type Module struct {
 	qgen    uint64
 	qbad    bool
 	qbadGen uint64
-	fpd     int
 	qdeps   []deps.Dep
 	qfeat   []float64
 	qouts   []float64
@@ -385,18 +367,6 @@ func NewModule(net *nn.Network, cfg Config) *Module {
 		debug:    make([]DebugEntry, 0, cfg.DebugBufSize),
 		lastRate: 1,
 	}
-	if cfg.VerdictCache > 0 {
-		m.vc = newVerdictCache(cfg.VerdictCache)
-	}
-	if cfg.DepEncoder != nil {
-		// Batched classification needs the per-dependence feature width;
-		// a DepEncoder that does not tile the network input exactly is
-		// ignored (per-dependence classification still works).
-		probe := make([]float64, 64)
-		if w := cfg.DepEncoder(deps.Dep{}, probe); w > 0 && cfg.N*w == net.NIn {
-			m.fpd = w
-		}
-	}
 	// The deployment-time weights are the first known-good state: even
 	// an untrained module must have something finite to roll back to
 	// when an SEU lands before the first healthy window.
@@ -414,7 +384,7 @@ func (m *Module) Mode() Mode { return m.mode }
 // OnDep stream is race-free (see Tracker.StatsSnapshot).
 func (m *Module) Stats() Stats { return m.stats.load() }
 
-// Generation returns the verdict-cache generation — a counter bumped by
+// Generation returns the weight-state generation — a counter bumped by
 // every weight mutation, mode switch, and breaker recovery. Safe to
 // read concurrently; exported as act_core_weight_generations.
 func (m *Module) Generation() uint64 { return m.gen.Load() }
@@ -424,12 +394,13 @@ func (m *Module) Config() Config { return m.cfg }
 
 // Network exposes the underlying network (for weight save/restore).
 // A caller that mutates weights through it must call InvalidateVerdicts
-// afterwards, or memoized verdicts may be served for the old weights.
+// afterwards, or a quantized module may classify with a kernel and
+// memoized verdicts compiled from the old weights.
 func (m *Module) Network() *nn.Network { return m.net }
 
-// InvalidateVerdicts discards any memoized network verdicts — required
-// after mutating weights directly through Network() (fault injection,
-// external quantization) when a verdict cache is configured.
+// InvalidateVerdicts orphans the compiled kernel and the window memo —
+// required after mutating weights directly through Network() (fault
+// injection, external quantization) when Quantized is set.
 func (m *Module) InvalidateVerdicts() { m.gen.Add(1) }
 
 // OnDep processes one RAW dependence: it enters the Input Generator
@@ -475,28 +446,16 @@ func (m *Module) OnDep(d deps.Dep) (classified, predictedInvalid bool) {
 	m.stats.sequences.Add(1)
 
 	var out float64
-	cached, hashed := false, false
-	var hash uint64
 	if m.mode == Training {
 		// Online training assumes every dependence is correct: a
 		// predicted-invalid sequence is a misprediction and drives a
 		// backprop step toward "valid". It is still logged, since it
 		// might in fact be the bug (Section III-C). Every step mutates
-		// the weights, so the verdict cache generation moves with it.
+		// the weights, so the generation moves with it.
 		out = m.net.Train(m.xbuf, nn.TargetValid, m.cfg.LearningRate)
 		m.gen.Add(1)
 		if out < 0.5 {
 			m.stats.updates.Add(1)
-		}
-	} else if m.vc != nil {
-		hash, hashed = seq.Hash(), true
-		if v, ok := m.vc.get(hash, m.gen.Load()); ok {
-			m.stats.cacheHits.Add(1)
-			out = v
-			cached = true
-		} else {
-			m.stats.cacheMisses.Add(1)
-			out = m.classify()
 		}
 	} else {
 		out = m.classify()
@@ -510,10 +469,6 @@ func (m *Module) OnDep(d deps.Dep) (classified, predictedInvalid bool) {
 	if m.cfg.RecoveryWindows >= 0 && (math.IsNaN(out) || math.IsInf(out, 0)) {
 		m.recover()
 		out = m.classify()
-		cached = false
-	}
-	if m.vc != nil && hashed && !cached {
-		m.vc.put(hash, m.gen.Load(), out)
 	}
 	if out <= m.cfg.SaturationEps || out >= 1-m.cfg.SaturationEps {
 		m.satWindow++

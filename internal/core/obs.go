@@ -57,12 +57,6 @@ func (t *Tracker) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("act_core_recoveries_total",
 		"Breaker rollbacks to the last-known-good snapshot.",
 		func() uint64 { return t.StatsSnapshot().Recoveries })
-	r.CounterFunc("act_core_verdict_cache_hits_total",
-		"Verdicts served from the memoization cache.",
-		func() uint64 { return t.StatsSnapshot().CacheHits })
-	r.CounterFunc("act_core_verdict_cache_misses_total",
-		"Testing-mode classifications the cache missed.",
-		func() uint64 { return t.StatsSnapshot().CacheMisses })
 	r.GaugeFunc("act_core_modules",
 		"Deployed ACT Modules (one per processor seen).",
 		func() float64 { return float64(t.Modules()) })

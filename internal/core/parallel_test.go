@@ -62,7 +62,7 @@ func equivCase(t *testing.T, tr *trace.Trace, mkBinary func() *WeightBinary, cfg
 // TestReplayParallelMatchesSequential is the equivalence property test:
 // over random traces, parallel replay must be bit-identical to
 // sequential replay — with trained modules in testing mode, with
-// untrained modules learning online, and with the verdict cache on.
+// untrained modules learning online, and with the quantized kernel.
 func TestReplayParallelMatchesSequential(t *testing.T) {
 	nIn := deps.InputLen(deps.EncodeDefault, 2)
 	mixedBinary := func() *WeightBinary {
@@ -78,35 +78,29 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name     string
 		mkBinary func() *WeightBinary
-		cache    int
 		quant    bool
 		interval int
 	}{
 		// Converged deployment: every module in testing mode.
-		{"testing", func() *WeightBinary { return AlwaysValidBinary(nIn, 6, 8) }, 0, false, 0},
+		{"testing", func() *WeightBinary { return AlwaysValidBinary(nIn, 6, 8) }, false, 0},
 		// Unseen threads: default weights, online training throughout.
-		{"training", func() *WeightBinary { return NewWeightBinary(nIn, 6) }, 0, false, 0},
+		{"training", func() *WeightBinary { return NewWeightBinary(nIn, 6) }, false, 0},
 		// Mixed: half the threads have weights, half train online.
-		{"mixed", mixedBinary, 0, false, 0},
-		// Verdict memoization on: hit/miss counters must match too.
-		{"cache", func() *WeightBinary { return AlwaysValidBinary(nIn, 6, 8) }, -1, false, 0},
+		{"mixed", mixedBinary, false, 0},
 		// Fixed-point inference: the batched kernel classifies testing
 		// stretches; sequential replay stages, parallel replay batches.
-		{"quant", func() *WeightBinary { return AlwaysValidBinary(nIn, 6, 8) }, 0, true, 0},
-		// Quantized with the verdict cache layered on top.
-		{"quant+cache", func() *WeightBinary { return AlwaysValidBinary(nIn, 6, 8) }, -1, true, 0},
+		{"quant", func() *WeightBinary { return AlwaysValidBinary(nIn, 6, 8) }, true, 0},
 		// Quantized with mode churn: a short rate window forces
 		// testing↔training flips mid-replay, so compiled kernels go
 		// stale mid-batch and the float fallback engages and re-arms.
-		{"quant+churn", mixedBinary, 0, true, 50},
+		{"quant+churn", mixedBinary, true, 50},
 	}
 	for _, tc := range cases {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
 				tr := randTrace(seed, 8, 3000)
 				cfg := TrackerConfig{Module: Config{
-					N: 2, VerdictCache: tc.cache,
-					Quantized: tc.quant, CheckInterval: tc.interval,
+					N: 2, Quantized: tc.quant, CheckInterval: tc.interval,
 				}, Seed: seed}
 				// Small batches force many channel hand-offs, including
 				// partial final batches.
@@ -205,19 +199,23 @@ func TestTrackerRejectsWideTid(t *testing.T) {
 
 // TestOnDepSteadyStateAllocs pins the zero-allocation classification
 // hot path: a converged testing-mode module classifying dependences must
-// not allocate, with or without the verdict cache.
+// not allocate, in float or quantized.
 func TestOnDepSteadyStateAllocs(t *testing.T) {
-	for _, cache := range []int{0, -1} {
-		t.Run(fmt.Sprintf("cache=%d", cache), func(t *testing.T) {
+	for _, quant := range []bool{false, true} {
+		name := "float"
+		if quant {
+			name = "quant"
+		}
+		t.Run(name, func(t *testing.T) {
 			nIn := deps.InputLen(deps.EncodeDefault, 3)
 			wb := AlwaysValidBinary(nIn, 8, 1)
-			tr := NewTracker(wb, TrackerConfig{Module: Config{N: 3, VerdictCache: cache}})
+			tr := NewTracker(wb, TrackerConfig{Module: Config{N: 3, Quantized: quant}})
 			m := tr.Module(0)
 			ds := make([]deps.Dep, 64)
 			for i := range ds {
 				ds[i] = deps.Dep{S: 0x1000 + uint64(i)*16, L: 0x2000 + uint64(i)*16}
 			}
-			// Warm up: fill the window ring and the verdict cache.
+			// Warm up: fill the window ring and compile the kernel.
 			for _, d := range ds {
 				m.OnDep(d)
 			}

@@ -13,8 +13,8 @@
 // buffer delivered to the worker — and are sliced from it in place;
 // only the history/batch boundary is materialized (see quantWindow).
 //
-// Staleness follows the verdict cache's generation scheme: a compiled
-// kernel is valid for exactly one value of Module.gen, so every online
+// Staleness follows the module's weight generation: a compiled kernel
+// is valid for exactly one value of Module.gen, so every online
 // training step, mode switch, breaker recovery, rollback, LoadWeights,
 // and InvalidateVerdicts orphans it; the next testing-mode
 // classification recompiles (~a hundred int16 stores). When the weight
@@ -23,9 +23,9 @@
 // the NaN-divergence breaker still sees the poisoned outputs it needs.
 //
 // The batch boundary is invisible: OnDeps commits per-dependence effects
-// (IGB, verdict cache, trajectory, Debug Buffer, Invalid Counter, rate
-// windows) in stream order, with the same values per-dependence OnDep
-// would produce, and re-checks mode and generation at every window
+// (IGB, trajectory, Debug Buffer, Invalid Counter, rate windows) in
+// stream order, with the same values per-dependence OnDep would
+// produce, and re-checks mode and generation at every window
 // boundary so a mid-batch mode switch or recovery falls back to the
 // per-dependence path for the remainder. Stats counters are accumulated
 // locally and flushed once per chunk — a concurrent metrics scrape may
@@ -60,10 +60,10 @@ const qmemoBits = 10
 // empty). A verdict is a pure function of (generation, window), so
 // serving a stamped, key-verified entry is bit-identical to re-running
 // the kernel; bumping the generation invalidates every entry at once
-// because generations are never reused. This is the batch-path
-// counterpart of the verdict cache, but internal, exact-keyed, and
-// allocation-free — it exists to skip encode+inference, not to be
-// observable, so hits leave no trace in Stats.
+// because generations are never reused. It is the module's only verdict
+// memo: internal, exact-keyed, and allocation-free — it exists to skip
+// encode+inference, not to be observable, so hits leave no trace in
+// Stats.
 type qmemo struct {
 	stamp []uint64
 	keys  []deps.Dep
@@ -136,7 +136,7 @@ func (m *Module) QuantGeneration() (uint64, bool) { return m.qgen, m.qnet != nil
 // OnDeps processes a run of dependences in stream order, classifying
 // testing-mode stretches through the batched fixed-point kernel when
 // quantization is enabled. Observable effects — Stats, Debug Buffer,
-// verdict cache, trajectory, mode, weights — are bit-identical to
+// trajectory, mode, weights — are bit-identical to
 // calling OnDep once per dependence; the batch boundary carries no
 // semantics, which is what keeps sequential, staged, and parallel
 // replays equivalent.
@@ -144,7 +144,7 @@ func (m *Module) QuantGeneration() (uint64, bool) { return m.qgen, m.qnet != nil
 //act:noalloc
 func (m *Module) OnDeps(ds []deps.Dep) {
 	for len(ds) > 0 {
-		if m.mode == Testing && m.cfg.Quantized && m.fpd > 0 && m.quantReady() {
+		if m.mode == Testing && m.cfg.Quantized && m.quantReady() {
 			ds = ds[m.onDepsQuant(ds):]
 			continue
 		}
@@ -157,8 +157,8 @@ func (m *Module) OnDeps(ds []deps.Dep) {
 // memo hits served directly, all misses with one kernel call — and
 // commits their effects, returning how many it consumed (≥ 1). It
 // stops early when a completed rate window switches the mode or moves
-// the weight generation. Caller guarantees testing mode, a batchable
-// encoder (fpd > 0), and a fresh kernel.
+// the weight generation. Caller guarantees testing mode and a fresh
+// kernel.
 //
 //act:noalloc
 func (m *Module) onDepsQuant(ds []deps.Dep) int {
@@ -239,21 +239,19 @@ func (m *Module) onDepsQuant(ds []deps.Dep) int {
 	miss := missBuf[:nm]
 
 	if len(miss) > 0 {
-		// Missed windows are encoded densely, one full window each —
-		// up to wsz× the per-dependence encoding of a shared slab, but
-		// only on misses, which the memo makes rare in steady state.
-		fpd := m.fpd
-		nin := wsz * fpd
+		// Missed windows are encoded densely, one full window each, by
+		// the module's sequence encoder — the one OnDep uses — so the
+		// kernel sees the same features on both paths. The copy keeps an
+		// encoder that returns a fresh slice instead of filling x correct.
+		nin := m.net.NIn
 		if cap(m.qfeat) < quantChunk*nin {
 			m.qfeat = make([]float64, quantChunk*nin) //act:alloc-ok grow-once feature slab
 		}
 		feat := m.qfeat[:len(miss)*nin]
 		for j, k := range miss {
 			base := j * nin
-			win := quantWindow(bbuf, ds, hist, int(k))
-			for i := 0; i < wsz; i++ {
-				m.cfg.DepEncoder(win[i], feat[base+i*fpd:]) //act:alloc-ok-call registered encoders write in place
-			}
+			x := feat[base : base+nin : base+nin]
+			copy(x, m.cfg.Encoder(deps.Sequence(quantWindow(bbuf, ds, hist, int(k))), x)) //act:alloc-ok-call registered encoders reuse the destination buffer
 		}
 		// Kernel outputs land in their own scratch (scattering through
 		// outs would clobber memo-served values sitting at low indices)
@@ -263,7 +261,7 @@ func (m *Module) onDepsQuant(ds []deps.Dep) int {
 			m.qmouts = make([]float64, quantChunk) //act:alloc-ok grow-once miss output slab
 		}
 		mouts := m.qmouts[:len(miss)]
-		m.qnet.ForwardWindows(feat, nin, mouts)
+		m.qnet.ForwardWindows(feat, mouts)
 		for j, ki := range miss {
 			k := int(ki)
 			out := mouts[j]
@@ -285,7 +283,7 @@ func (m *Module) onDepsQuant(ds []deps.Dep) int {
 	// increment-then-read produces them.
 	startGen := m.gen.Load()
 	base := m.stats.deps.Load()
-	var cSeqs, cInv, cHits, cMiss uint64
+	var cSeqs, cInv uint64
 	size := m.cfg.IGBSize
 	k := 0
 	for ; k < n; k++ {
@@ -306,20 +304,6 @@ func (m *Module) onDepsQuant(ds []deps.Dep) int {
 		}
 		cSeqs++
 		out := outs[k]
-		win := quantWindow(bbuf, ds, hist, k)
-		if m.vc != nil {
-			// Same get/put order as OnDep, so LRU state and hit/miss
-			// counts match exactly. A hit serves the cached value —
-			// bit-equal to outs[k], both pure functions of (gen, window).
-			hash := deps.Sequence(win).Hash()
-			if v, ok := m.vc.get(hash, startGen); ok {
-				cHits++
-				out = v
-			} else {
-				cMiss++
-				m.vc.put(hash, startGen, out)
-			}
-		}
 		if out <= m.cfg.SaturationEps || out >= 1-m.cfg.SaturationEps {
 			m.satWindow++
 		}
@@ -327,7 +311,7 @@ func (m *Module) onDepsQuant(ds []deps.Dep) int {
 		if out < 0.5 {
 			cInv++
 			m.invalid++
-			m.logDebug(deps.Sequence(win), out, base+uint64(k)+1) //act:alloc-ok-call debug-ring capture, only on predicted-invalid
+			m.logDebug(deps.Sequence(quantWindow(bbuf, ds, hist, k)), out, base+uint64(k)+1) //act:alloc-ok-call debug-ring capture, only on predicted-invalid
 		}
 		m.window++
 		if m.window >= m.cfg.CheckInterval {
@@ -343,12 +327,6 @@ func (m *Module) onDepsQuant(ds []deps.Dep) int {
 	if cInv > 0 {
 		m.stats.predictedInvalid.Add(cInv)
 	}
-	if cHits > 0 {
-		m.stats.cacheHits.Add(cHits)
-	}
-	if cMiss > 0 {
-		m.stats.cacheMisses.Add(cMiss)
-	}
 	return k
 }
 
@@ -357,8 +335,8 @@ func (m *Module) onDepsQuant(ds []deps.Dep) int {
 // copying: the first hist windows straddle the history/batch boundary
 // and live in bbuf (window history then ds[:hist], assembled once per
 // chunk), every later window is a subslice of the caller's batch. This
-// is what lets parallel replay's fan-out buffers feed ForwardWindows
-// directly instead of being staged per module.
+// is what lets the memo probe and the encoder read parallel replay's
+// fan-out buffers in place instead of staging them per module.
 //
 //act:noalloc
 func quantWindow(bbuf, ds []deps.Dep, hist, k int) []deps.Dep {

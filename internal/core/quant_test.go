@@ -11,19 +11,19 @@ import (
 	"act/internal/nn"
 )
 
-// quantModulePair builds two identically seeded modules so a test can
-// drive one through OnDep and the other through OnDeps and compare
-// every observable.
+// quantModulePair builds two identically seeded modules, their networks
+// sized for cfg's encoder, so a test can drive one through OnDep and the
+// other through OnDeps and compare every observable.
 func quantModulePair(seed int64, cfg Config) (*Module, *Module) {
 	mk := func() *Module {
-		nIn := deps.InputLen(deps.EncodeDefault, cfg.N)
+		nIn := deps.InputLen(cfg.withDefaults().Encoder, cfg.N)
 		return NewModule(nn.New(nIn, 6, rand.New(rand.NewSource(seed))), cfg)
 	}
 	return mk(), mk()
 }
 
 // randDeps builds a dependence stream over a small address pool (so
-// sequences repeat and the verdict cache gets hits).
+// windows repeat and the window memo gets hits).
 func randDeps(seed int64, n int) []deps.Dep {
 	rng := rand.New(rand.NewSource(seed))
 	ds := make([]deps.Dep, n)
@@ -61,9 +61,9 @@ func moduleStateEqual(t *testing.T, ref, got *Module) {
 // TestOnDepsMatchesOnDep is the batch-boundary invisibility property:
 // feeding a stream through OnDeps in arbitrary chunkings — including
 // chunks beyond quantChunk — leaves the module in exactly the state a
-// per-dependence OnDep loop produces, across float/quantized and
-// cache/no-cache configurations, with rate windows short enough that
-// modes flip and kernels go stale mid-chunk.
+// per-dependence OnDep loop produces, in float and quantized, under both
+// built-in encoders and a custom one, with rate windows short enough
+// that modes flip and kernels go stale mid-chunk.
 func TestOnDepsMatchesOnDep(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -71,7 +71,12 @@ func TestOnDepsMatchesOnDep(t *testing.T) {
 	}{
 		{"float", Config{N: 3, CheckInterval: 64}},
 		{"quant", Config{N: 3, CheckInterval: 64, Quantized: true}},
-		{"quant+cache", Config{N: 3, CheckInterval: 64, Quantized: true, VerdictCache: 32}},
+		{"quant+pairhash", Config{N: 3, CheckInterval: 64, Quantized: true, Encoder: deps.EncodePairHash}},
+		// A custom encoder that ignores dst: the batch path must copy
+		// its result into the feature slab.
+		{"quant+custom", Config{N: 2, CheckInterval: 64, Quantized: true, Encoder: func(s deps.Sequence, _ []float64) []float64 {
+			return deps.EncodeDefault(s, nil)
+		}}},
 		{"quant+N1", Config{N: 1, CheckInterval: 100, Quantized: true}},
 	} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -179,7 +184,6 @@ func TestOnDepsSteadyStateAllocs(t *testing.T) {
 		cfg  Config
 	}{
 		{"quant", Config{N: 3, Quantized: true}},
-		{"quant+cache", Config{N: 3, Quantized: true, VerdictCache: -1}},
 		{"float", Config{N: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -195,60 +199,5 @@ func TestOnDepsSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("steady-state OnDeps allocates: %.1f allocs per %d deps", n, len(ds))
 			}
 		})
-	}
-}
-
-// TestCustomEncoderWithoutDepEncoder pins the fallback: a custom
-// sequence encoder with no per-dependence twin must keep working under
-// Quantized — per-window classification, no batching, no panic.
-func TestCustomEncoderWithoutDepEncoder(t *testing.T) {
-	enc := func(s deps.Sequence, dst []float64) []float64 { return deps.EncodeDefault(s, dst) }
-	cfg := Config{N: 2, Quantized: true, Encoder: enc}
-	nIn := deps.InputLen(deps.EncodeDefault, 2)
-	m := NewModule(nn.New(nIn, 4, rand.New(rand.NewSource(3))), cfg)
-	if m.fpd != 0 {
-		t.Fatalf("fpd = %d for an unknown encoder, want 0 (batching disabled)", m.fpd)
-	}
-	ds := randDeps(3, 500)
-	m.OnDeps(ds)
-	if got := m.Stats().Deps; got != 500 {
-		t.Fatalf("processed %d deps, want 500", got)
-	}
-}
-
-// TestPairedDepEncoders pins the Encoder↔DepEncoder agreement contract
-// for both built-ins: concatenated per-dependence features must equal
-// the sequence encoding.
-func TestPairedDepEncoders(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	s := make(deps.Sequence, 4)
-	for i := range s {
-		s[i] = deps.Dep{S: rng.Uint64(), L: rng.Uint64(), Inter: i%2 == 0}
-	}
-	for _, tc := range []struct {
-		name string
-		enc  deps.Encoder
-	}{
-		{"default", deps.EncodeDefault},
-		{"pairhash", deps.EncodePairHash},
-	} {
-		de := deps.PairedDepEncoder(tc.enc)
-		if de == nil {
-			t.Fatalf("%s: no paired DepEncoder", tc.name)
-		}
-		want := tc.enc(s, nil)
-		fpd := len(want) / len(s)
-		got := make([]float64, len(want))
-		for i, d := range s {
-			if w := de(d, got[i*fpd:]); w != fpd {
-				t.Fatalf("%s: wrote %d features, want %d", tc.name, w, fpd)
-			}
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: per-dep features diverge from sequence encoding\nseq %v\ndep %v", tc.name, want, got)
-		}
-	}
-	if deps.PairedDepEncoder(func(s deps.Sequence, dst []float64) []float64 { return dst }) != nil {
-		t.Fatal("unknown encoder matched a built-in DepEncoder")
 	}
 }

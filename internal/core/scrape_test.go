@@ -19,7 +19,7 @@ func TestReplayParallelScrapeDuringReplay(t *testing.T) {
 	nIn := deps.InputLen(deps.EncodeDefault, 2)
 	tr := randTrace(11, 8, 4000)
 	tk := NewTracker(AlwaysValidBinary(nIn, 6, 8), TrackerConfig{
-		Module: Config{N: 2, VerdictCache: -1},
+		Module: Config{N: 2, Quantized: true},
 	})
 	reg := obs.NewRegistry()
 	tk.RegisterMetrics(reg)
@@ -58,7 +58,7 @@ func TestReplayParallelScrapeDuringReplay(t *testing.T) {
 	// After the replays quiesce, the snapshot equals what an identical
 	// unscraped tracker reports: scraping is observation, not mutation.
 	ref := NewTracker(AlwaysValidBinary(nIn, 6, 8), TrackerConfig{
-		Module: Config{N: 2, VerdictCache: -1},
+		Module: Config{N: 2, Quantized: true},
 	})
 	for i := 0; i < 3; i++ {
 		ref.Replay(tr)

@@ -369,7 +369,7 @@ func (t *Tracker) Modules() int {
 	return len(t.all)
 }
 
-// Generations sums every module's verdict-cache generation — a
+// Generations sums every module's weight-state generation — a
 // monotonic proxy for "weight-state mutations across the deployment"
 // (act_core_weight_generations). Safe to call concurrently with replay.
 func (t *Tracker) Generations() uint64 {

@@ -39,27 +39,43 @@ func (d Dep) String() string {
 // processor, oldest first, newest (the dependence under test) last.
 type Sequence []Dep
 
-// keyLen is the number of Key bytes per dependence: S and L, each
-// little-endian, then the Inter flag.
-const keyLen = 17
+// DepSize is the encoded size of one dependence: S and L, each
+// little-endian, then a flags byte whose bit 0 is Inter. Sequence keys,
+// the wire format, and checkpoints all use this one layout.
+const DepSize = 17
+
+// AppendDep appends d's DepSize-byte encoding to dst.
+func AppendDep(dst []byte, d Dep) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, d.S)
+	dst = binary.LittleEndian.AppendUint64(dst, d.L)
+	if d.Inter {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// DecodeDep decodes the dependence AppendDep wrote at the front of b,
+// ignoring flag bits other than Inter. A b shorter than DepSize decodes
+// as the zero Dep, matching frame.Decoder, whose reads return nil once
+// the input is exhausted.
+func DecodeDep(b []byte) Dep {
+	if len(b) < DepSize {
+		return Dep{}
+	}
+	return Dep{S: binary.LittleEndian.Uint64(b), L: binary.LittleEndian.Uint64(b[8:]), Inter: b[16]&1 != 0}
+}
 
 // Key returns a canonical map key for the sequence.
 func (s Sequence) Key() string {
-	return string(s.appendKey(make([]byte, 0, len(s)*keyLen)))
+	return string(s.AppendKey(make([]byte, 0, len(s)*DepSize)))
 }
 
-// appendKey appends the sequence's Key bytes to dst. Because every
-// dependence takes keyLen bytes, the key of s[:i] is the first keyLen*i
-// bytes of the key of s.
-func (s Sequence) appendKey(dst []byte) []byte {
+// AppendKey appends the sequence's Key bytes to dst. Because every
+// dependence takes DepSize bytes, the key of s[:i] is the first
+// DepSize*i bytes of the key of s.
+func (s Sequence) AppendKey(dst []byte) []byte {
 	for _, d := range s {
-		dst = binary.LittleEndian.AppendUint64(dst, d.S)
-		dst = binary.LittleEndian.AppendUint64(dst, d.L)
-		if d.Inter {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = AppendDep(dst, d)
 	}
 	return dst
 }
@@ -83,9 +99,11 @@ func fnvU64(h, x uint64) uint64 {
 }
 
 // Hash returns a fixed-size FNV-1a digest of the sequence over the same
-// byte layout as Key, without allocating. It is the identity used on the
-// classification hot path (verdict memoization) and by ranking and fleet
-// deduplication; Key remains for code that needs a collision-free string.
+// byte layout as Key, without allocating. Distinct sequences can share a
+// hash, so it is an identity only where a collision is tolerated: shard
+// routing, and the fleet collector's cross-run aggregate, whose
+// persisted state stores hashes. Ranking, RCA, and the Correct Set
+// compare Key bytes or the dependences themselves.
 //
 //act:noalloc
 func (s Sequence) Hash() uint64 {

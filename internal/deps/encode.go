@@ -1,7 +1,5 @@
 package deps
 
-import "reflect"
-
 // Feature encoding of dependence sequences for the neural network.
 //
 // The paper feeds the network "the sequence of past few RAW dependences"
@@ -73,64 +71,6 @@ func InputLen(enc Encoder, n int) int {
 	probe := make(Sequence, n)
 	return len(enc(probe, nil))
 }
-
-// DepEncoder is the per-dependence form of an Encoder, for encoders
-// whose sequence features are position-independent functions of each
-// dependence alone (both built-ins are). It writes one dependence's
-// features into dst and returns how many it wrote — a constant for a
-// given encoder. The batched classification path encodes each
-// dependence once into a slab and reads consecutive windows as
-// overlapping slices, instead of re-encoding every window; a
-// (Encoder, DepEncoder) pair must therefore agree exactly:
-//
-//	enc(s, nil) == concat(depEnc(s[0]), depEnc(s[1]), ...)
-//
-// Implementations must be pure.
-type DepEncoder func(d Dep, dst []float64) int
-
-// DepEncodeDefault is EncodeDefault for a single dependence.
-//
-//act:noalloc
-func DepEncodeDefault(d Dep, dst []float64) int {
-	dst[0] = norm(mix(d.S))
-	f2 := norm(mix(d.L)) / 2
-	if d.Inter {
-		f2 += 0.5
-	}
-	dst[1] = f2
-	return FeaturesPerDep
-}
-
-// DepEncodePairHash is EncodePairHash for a single dependence.
-//
-//act:noalloc
-func DepEncodePairHash(d Dep, dst []float64) int {
-	h := mix(d.S*0x9e3779b97f4a7c15 ^ d.L)
-	if d.Inter {
-		h = mix(h + 1)
-	}
-	dst[0] = norm(h)
-	return 1
-}
-
-// PairedDepEncoder returns the per-dependence form of a built-in
-// sequence encoder, or nil when enc has no known per-dependence
-// equivalent (a custom encoder must supply its own DepEncoder to enable
-// batched classification).
-func PairedDepEncoder(enc Encoder) DepEncoder {
-	switch fnPointer(enc) {
-	case fnPointer(EncodeDefault):
-		return DepEncodeDefault
-	case fnPointer(EncodePairHash):
-		return DepEncodePairHash
-	}
-	return nil
-}
-
-// fnPointer identifies a function value (func values are not comparable;
-// their code pointers are). Cold path: PairedDepEncoder runs once per
-// deployment.
-func fnPointer(v any) uintptr { return reflect.ValueOf(v).Pointer() }
 
 // mix is splitmix64's finalizer: a cheap, well-distributed 64-bit hash.
 //

@@ -380,14 +380,14 @@ func NewSeqSet(n int) *SeqSet {
 // Add inserts a sequence and all its prefixes. Adding a member again
 // costs one lookup and no allocation: its prefixes went in with it.
 func (ss *SeqSet) Add(s Sequence) {
-	ss.buf = s.appendKey(ss.buf[:0])
+	ss.buf = s.AppendKey(ss.buf[:0])
 	if _, ok := ss.full[string(ss.buf)]; ok {
 		return
 	}
 	k := string(ss.buf)
 	ss.full[k] = struct{}{}
 	for i := 1; i < len(s); i++ {
-		ss.pre[k[:keyLen*i]] = struct{}{}
+		ss.pre[k[:DepSize*i]] = struct{}{}
 	}
 }
 
@@ -396,8 +396,8 @@ func (ss *SeqSet) Len() int { return len(ss.full) }
 
 // Contains reports whether the exact sequence is in the set.
 func (ss *SeqSet) Contains(s Sequence) bool {
-	var stack [lookupDeps * keyLen]byte
-	k := s.appendKey(stack[:0])
+	var stack [lookupDeps * DepSize]byte
+	k := s.AppendKey(stack[:0])
 	_, ok := ss.full[string(k)]
 	return ok
 }
@@ -406,13 +406,13 @@ func (ss *SeqSet) Contains(s Sequence) bool {
 // a prefix of some member sequence — the paper's "number of matched RAW
 // dependences" used for ranking.
 func (ss *SeqSet) MatchCount(s Sequence) int {
-	var stack [lookupDeps * keyLen]byte
-	k := s.appendKey(stack[:0])
+	var stack [lookupDeps * DepSize]byte
+	k := s.AppendKey(stack[:0])
 	if _, ok := ss.full[string(k)]; ok {
 		return len(s)
 	}
 	for i := len(s) - 1; i >= 1; i-- {
-		p := k[:keyLen*i]
+		p := k[:DepSize*i]
 		if _, ok := ss.pre[string(p)]; ok {
 			return i
 		}

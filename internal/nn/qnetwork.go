@@ -19,7 +19,7 @@ import (
 // the float Network it came from, so callers must treat a compiled
 // kernel as valid for exactly one weight generation and recompile (or
 // fall back to float inference) when the generation moves; core.Module
-// keys this off the same generation counter as its verdict cache.
+// keys this off the same generation counter as its window memo.
 
 // QInputFrac is the fixed-point precision of quantized inputs and hidden
 // activations: unsigned values in [0, 1] scaled by 2^QInputFrac. The
@@ -193,7 +193,7 @@ func Compile(n *Network, lut *SigmoidLUT) (*QNetwork, error) {
 // which can move at most round(δ/cell)+1 entries for a pre-activation
 // error δ and cell width 2·Range/(Entries−1).
 func compileBound(n *Network, lut *SigmoidLUT, frac int) float64 {
-	ew := math.Ldexp(1, -(frac + 1))      // weight rounding
+	ew := math.Ldexp(1, -(frac + 1))       // weight rounding
 	ex := math.Ldexp(1, -(QInputFrac + 1)) // input/hidden quantization
 	cell := 2 * lut.Range / float64(lut.Entries-1)
 	step := 0.0 // largest adjacent-entry jump in the table
@@ -275,8 +275,8 @@ func (q *QNetwork) index(acc int32) int32 {
 }
 
 // classify runs the integer datapath over one quantized input window.
-// It is the shared core of Forward, ForwardBatch, and ForwardWindows, so
-// the scalar and batched paths are bit-identical by construction.
+// Forward runs it directly; ForwardWindows repeats its arithmetic, so
+// the scalar and batched paths are bit-identical.
 //
 //act:noalloc
 func (q *QNetwork) classify(xq []int16) float64 {
@@ -323,47 +323,22 @@ func (q *QNetwork) Forward(x []float64) float64 {
 	return q.classify(q.xq)
 }
 
-// ForwardBatch classifies len(outs) independent input vectors in one
-// call, writing the outputs in order. The forward-pass counter is
-// batched: one atomic add for the whole call.
+// ForwardWindows classifies len(outs) windows packed densely in a
+// feature slab: window k's input is feat[k·NIn : (k+1)·NIn]. The slab is
+// quantized in one pass and the forward-pass counter is batched.
 //
 //act:noalloc
-func (q *QNetwork) ForwardBatch(xs [][]float64, outs []float64) {
-	if len(xs) != len(outs) {
-		//act:alloc-ok batch-shape panic, cold guard
-		panic(fmt.Sprintf("nn: batch of %d inputs, %d outputs", len(xs), len(outs)))
-	}
-	statForward.Add(uint64(len(outs)))
-	for k, x := range xs {
-		if len(x) != q.NIn {
-			//act:alloc-ok topology-mismatch panic, cold guard
-			panic(fmt.Sprintf("nn: input width %d, want %d", len(x), q.NIn))
-		}
-		for i, v := range x {
-			q.xq[i] = quantIn(v)
-		}
-		outs[k] = q.classify(q.xq)
-	}
-}
-
-// ForwardWindows classifies len(outs) overlapping windows of a feature
-// slab: window k's input is feat[k·stride : k·stride+NIn]. This is the
-// shape the batched IGB path produces — consecutive dependence windows
-// share all but one dependence's features — so the slab is quantized
-// once, not once per window. The forward-pass counter is batched.
-//
-//act:noalloc
-func (q *QNetwork) ForwardWindows(feat []float64, stride int, outs []float64) {
+func (q *QNetwork) ForwardWindows(feat, outs []float64) {
 	n := len(outs)
 	if n == 0 {
 		return
 	}
-	if stride <= 0 || (n-1)*stride+q.NIn > len(feat) {
+	need := n * q.NIn
+	if need > len(feat) {
 		//act:alloc-ok slab-shape panic, cold guard
-		panic(fmt.Sprintf("nn: slab of %d too short for %d windows at stride %d", len(feat), n, stride))
+		panic(fmt.Sprintf("nn: slab of %d too short for %d windows of %d", len(feat), n, q.NIn))
 	}
 	statForward.Add(uint64(n))
-	need := (n-1)*stride + q.NIn
 	if cap(q.slab) < need {
 		q.slab = make([]int16, need) //act:alloc-ok grow-once slab scratch
 	}
@@ -381,7 +356,7 @@ func (q *QNetwork) ForwardWindows(feat []float64, stride int, outs []float64) {
 	// pre-activations into outputs: branchless LUT indexing, output-row
 	// accumulation, final table read. The arithmetic is identical to
 	// classify, instruction for instruction per value
-	// (TestForwardBatchMatchesScalar pins the bit-equality).
+	// (TestForwardWindowsMatchesScalar pins the bit-equality).
 	nin, nh := q.NIn, q.NHidden
 	per := nin + 1
 	w := q.w
@@ -394,7 +369,7 @@ func (q *QNetwork) ForwardWindows(feat []float64, stride int, outs []float64) {
 		row := w[off : off+nin : off+nin]
 		bias := int32(w[off+nin]) << QInputFrac
 		// Cursor-stepped indexing: ai walks the scratch at stride nh, xo
-		// walks the slab at the window stride, so the loop carries adds
+		// walks the slab one window at a time, so the loop carries adds
 		// instead of per-iteration multiplies.
 		ai, xo := h, 0
 		switch nin {
@@ -409,7 +384,7 @@ func (q *QNetwork) ForwardWindows(feat []float64, stride int, outs []float64) {
 					w0*int32(x[0]) + w1*int32(x[1]) + w2*int32(x[2]) +
 					w3*int32(x[3]) + w4*int32(x[4]) + w5*int32(x[5])
 				ai += nh
-				xo += stride
+				xo += 6
 			}
 		case 4:
 			w0, w1, w2, w3 := int32(row[0]), int32(row[1]), int32(row[2]), int32(row[3])
@@ -418,7 +393,7 @@ func (q *QNetwork) ForwardWindows(feat []float64, stride int, outs []float64) {
 				accs[ai] = bias +
 					w0*int32(x[0]) + w1*int32(x[1]) + w2*int32(x[2]) + w3*int32(x[3])
 				ai += nh
-				xo += stride
+				xo += 4
 			}
 		case 2:
 			w0, w1 := int32(row[0]), int32(row[1])
@@ -426,7 +401,7 @@ func (q *QNetwork) ForwardWindows(feat []float64, stride int, outs []float64) {
 				x := slab[xo : xo+2 : xo+2]
 				accs[ai] = bias + w0*int32(x[0]) + w1*int32(x[1])
 				ai += nh
-				xo += stride
+				xo += 2
 			}
 		default:
 			for k := 0; k < n; k++ {
@@ -437,7 +412,7 @@ func (q *QNetwork) ForwardWindows(feat []float64, stride int, outs []float64) {
 				}
 				accs[ai] = acc
 				ai += nh
-				xo += stride
+				xo += nin
 			}
 		}
 	}

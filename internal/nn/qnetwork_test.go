@@ -150,10 +150,9 @@ func TestCompileRejects(t *testing.T) {
 	}
 }
 
-// TestForwardBatchMatchesScalar pins bit-identity of the three entry
-// points: scalar Forward, ForwardBatch over independent vectors, and
-// ForwardWindows over an overlapping slab.
-func TestForwardBatchMatchesScalar(t *testing.T) {
+// TestForwardWindowsMatchesScalar pins bit-identity of the two entry
+// points: scalar Forward and ForwardWindows over a dense slab.
+func TestForwardWindowsMatchesScalar(t *testing.T) {
 	lut := NewSigmoidLUT(200, 7) // non-power-of-two span: divide path
 	for _, l := range []*SigmoidLUT{DefaultLUT(), lut} {
 		n := trainedLutNet(t, 42, 6, 8, l)
@@ -162,23 +161,16 @@ func TestForwardBatchMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(43))
-		const fpd, wins = 2, 97
-		slab := make([]float64, (wins-1)*fpd+q.NIn)
+		const wins = 97
+		slab := make([]float64, wins*q.NIn)
 		for i := range slab {
 			slab[i] = rng.Float64()
 		}
 		wouts := make([]float64, wins)
-		q.ForwardWindows(slab, fpd, wouts)
-		xs := make([][]float64, wins)
-		for k := range xs {
-			xs[k] = slab[k*fpd : k*fpd+q.NIn]
-		}
-		bouts := make([]float64, wins)
-		q.ForwardBatch(xs, bouts)
-		for k := range xs {
-			s := q.Forward(xs[k])
-			if s != wouts[k] || s != bouts[k] {
-				t.Fatalf("window %d: scalar %v, windows %v, batch %v", k, s, wouts[k], bouts[k])
+		q.ForwardWindows(slab, wouts)
+		for k := range wouts {
+			if s := q.Forward(slab[k*q.NIn : (k+1)*q.NIn]); s != wouts[k] {
+				t.Fatalf("window %d: scalar %v, windows %v", k, s, wouts[k])
 			}
 		}
 	}
@@ -190,7 +182,7 @@ func TestForwardWindowsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.ForwardWindows(nil, 2, nil) // must not panic
+	q.ForwardWindows(nil, nil) // must not panic
 }
 
 // TestQuantInClamps pins the input conversion's totality: any float64,
@@ -210,25 +202,25 @@ func TestQuantInClamps(t *testing.T) {
 	}
 }
 
-// TestForwardBatchAllocs pins the batch classify loop at zero
+// TestForwardWindowsAllocs pins the batch classify loop at zero
 // steady-state allocations, the dynamic half of its //act:noalloc
 // annotation.
-func TestForwardBatchAllocs(t *testing.T) {
+func TestForwardWindowsAllocs(t *testing.T) {
 	lut := DefaultLUT()
 	n := trainedLutNet(t, 7, 6, 8, lut)
 	q, err := Compile(n, lut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const fpd, wins = 2, 64
-	slab := make([]float64, (wins-1)*fpd+q.NIn)
+	const wins = 64
+	slab := make([]float64, wins*q.NIn)
 	for i := range slab {
 		slab[i] = float64(i%17) / 17
 	}
 	outs := make([]float64, wins)
-	q.ForwardWindows(slab, fpd, outs) // warm the int16 scratch slab
+	q.ForwardWindows(slab, outs) // warm the int16 scratch slab
 	if avg := testing.AllocsPerRun(200, func() {
-		q.ForwardWindows(slab, fpd, outs)
+		q.ForwardWindows(slab, outs)
 	}); avg != 0 {
 		t.Fatalf("ForwardWindows allocates %v per call at steady state", avg)
 	}
@@ -293,15 +285,15 @@ func BenchmarkForwardWindows(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const fpd, wins = 2, 512
-	slab := make([]float64, (wins-1)*fpd+q.NIn)
+	const wins = 512
+	slab := make([]float64, wins*q.NIn)
 	for i := range slab {
 		slab[i] = float64(i%89) / 97
 	}
 	outs := make([]float64, wins)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.ForwardWindows(slab, fpd, outs)
+		q.ForwardWindows(slab, outs)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*wins), "ns/window")
 }

@@ -64,32 +64,28 @@ func Rank(debug []core.DebugEntry, correct *deps.SeqSet) *Report {
 	return RankWith(debug, correct, MostMatched)
 }
 
-// RankWith is Rank with an explicit strategy. Duplicate detection keys
-// on the sequences' fixed-size FNV-1a hash (Sequence.Hash) rather than
-// a materialized string key, so deduplicating a large Debug Buffer
-// allocates nothing per entry.
+// RankWith is Rank with an explicit strategy. Duplicates are detected
+// by exact Key bytes, encoded into one reused buffer as deps.SeqSet
+// does, so only a sequence seen for the first time allocates its key.
 func RankWith(debug []core.DebugEntry, correct *deps.SeqSet, strategy Strategy) *Report {
 	rep := &Report{Total: len(debug)}
-	byKey := make(map[uint64]*Candidate)
-	var order []uint64
+	byKey := make(map[string]int) // index into rep.Ranked
+	var buf []byte
 	for _, e := range debug {
 		if correct.Contains(e.Seq) {
 			rep.Pruned++
 			continue
 		}
-		k := e.Seq.Hash()
-		if c, ok := byKey[k]; ok {
+		buf = e.Seq.AppendKey(buf[:0])
+		if i, ok := byKey[string(buf)]; ok {
 			rep.Pruned++ // duplicate collapses
-			if e.Output < c.Entry.Output {
+			if c := &rep.Ranked[i]; e.Output < c.Entry.Output {
 				c.Entry = e
 			}
 			continue
 		}
-		byKey[k] = &Candidate{Entry: e, Matches: correct.MatchCount(e.Seq)}
-		order = append(order, k)
-	}
-	for _, k := range order {
-		rep.Ranked = append(rep.Ranked, *byKey[k])
+		byKey[string(buf)] = len(rep.Ranked)
+		rep.Ranked = append(rep.Ranked, Candidate{Entry: e, Matches: correct.MatchCount(e.Seq)})
 	}
 	rep.Resort(strategy)
 	return rep

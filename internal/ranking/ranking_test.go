@@ -76,6 +76,21 @@ func TestDuplicatesCollapse(t *testing.T) {
 	}
 }
 
+// TestRankKeepsHashCollisions ranks two distinct intra-thread
+// dependences whose 64-bit Sequence.Hash values are equal: duplicate
+// collapse is by exact identity, so both survive as candidates.
+func TestRankKeepsHashCollisions(t *testing.T) {
+	a := deps.Sequence{dep(0x6f57468c9c6980fb, 0x3486af19c7b8696e)}
+	b := deps.Sequence{dep(0x7ccd3fb39fe6fc67, 0x271cd626c43715f2)}
+	if a.Hash() != 0x04937d4ee5fe6d7f || b.Hash() != a.Hash() {
+		t.Fatalf("fixture no longer collides: %#x, %#x", a.Hash(), b.Hash())
+	}
+	rep := Rank([]core.DebugEntry{{Seq: a, Output: 0.2}, {Seq: b, Output: 0.1}}, deps.NewSeqSet(1))
+	if len(rep.Ranked) != 2 || rep.Pruned != 0 {
+		t.Fatalf("ranked %d, pruned %d; want 2 candidates, 0 pruned", len(rep.Ranked), rep.Pruned)
+	}
+}
+
 func TestFilterPct(t *testing.T) {
 	rep := Rank(nil, correctSet())
 	if rep.FilterPct() != 0 {

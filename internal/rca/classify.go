@@ -1,6 +1,8 @@
 package rca
 
 import (
+	"slices"
+
 	"act/internal/core"
 	"act/internal/deps"
 	"act/internal/isa"
@@ -329,9 +331,8 @@ func prunedNeighbors(rep *ranking.Report, e core.DebugEntry, debug []core.DebugE
 
 // survived reports whether a debug entry made it into the ranked set.
 func survived(rep *ranking.Report, d core.DebugEntry) bool {
-	h := d.Seq.Hash()
 	for _, c := range rep.Ranked {
-		if c.Entry.Proc == d.Proc && c.Entry.At == d.At && c.Entry.Seq.Hash() == h {
+		if c.Entry.Proc == d.Proc && c.Entry.At == d.At && slices.Equal(c.Entry.Seq, d.Seq) {
 			return true
 		}
 	}

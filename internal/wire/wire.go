@@ -161,8 +161,9 @@ func (b *Batch) RunKey() uint64 {
 }
 
 // AppendEntry serializes one Debug Buffer entry:
-// u16 proc | u64 at | f64 output | u8 mode | u8 seqlen | deps, each
-// u64 S | u64 L | u8 flags (bit 0 = inter-thread).
+// u16 proc | u64 at | f64 output | u8 mode | u8 seqlen | deps, each in
+// the deps.AppendDep layout (u64 S | u64 L | u8 flags, bit 0 =
+// inter-thread).
 func AppendEntry(dst []byte, e core.DebugEntry) []byte {
 	w := frame.Encoder(dst)
 	w.U16(e.Proc)
@@ -170,37 +171,25 @@ func AppendEntry(dst []byte, e core.DebugEntry) []byte {
 	w.F64(e.Output)
 	w.U8(byte(e.Mode))
 	w.U8(byte(len(e.Seq)))
-	for _, d := range e.Seq {
-		w.U64(d.S)
-		w.U64(d.L)
-		var flags byte
-		if d.Inter {
-			flags |= 1
-		}
-		w.U8(flags)
-	}
-	return w
+	return e.Seq.AppendKey(w)
 }
 
 // entryFixed is the encoded size of an entry before its dependences.
 const entryFixed = 2 + 8 + 8 + 1 + 1
 
-// depSize is the encoded size of one dependence.
-const depSize = 8 + 8 + 1
-
 // ReadEntry decodes one entry written by AppendEntry; failures land in
 // d. The decoded entry shares nothing with d's input.
 func ReadEntry(d *frame.Decoder) core.DebugEntry {
 	e := core.DebugEntry{Proc: d.U16(), At: d.U64(), Output: d.F64(), Mode: core.Mode(d.U8())}
-	e.Seq = make(deps.Sequence, d.Bound(int(d.U8()), depSize))
+	e.Seq = make(deps.Sequence, d.Bound(int(d.U8()), deps.DepSize))
 	for i := range e.Seq {
-		e.Seq[i] = deps.Dep{S: d.U64(), L: d.U64(), Inter: d.U8()&1 != 0}
+		e.Seq[i] = deps.DecodeDep(d.Bytes(deps.DepSize))
 	}
 	return e
 }
 
 // EntrySize returns the encoded size of an entry.
-func EntrySize(e core.DebugEntry) int { return entryFixed + len(e.Seq)*depSize }
+func EntrySize(e core.DebugEntry) int { return entryFixed + len(e.Seq)*deps.DepSize }
 
 // EncodeBatch serializes a batch payload:
 // u16 agent length | agent | u64 run | u64 seq | u8 outcome |
