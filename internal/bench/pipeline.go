@@ -42,18 +42,27 @@ type PipelineReport struct {
 	Workload string        `json:"workload"`
 	Rows     []PipelineRow `json:"rows"`
 	// QuantSpeedup is the sequential+quant configuration's records/sec
-	// divided by the plain sequential configuration's — the gain from
-	// the compiled int16 batch kernel and its window memo, with no
-	// parallelism in either term. It is measured from paired
-	// back-to-back float/quant attempts (best ratio of three pairs), so
-	// machine-speed drift during the run moves both terms of a pair
-	// together instead of skewing the ratio.
+	// divided by the per-dependence float path's — Tracker.OnRecord on
+	// every record, so Module.OnDep encodes and runs the float network
+	// on every dependence with no memo. It is the gain from the compiled
+	// int16 batch kernel and its window memo, with no parallelism in
+	// either term. FloatSpeedup divides the plain sequential
+	// configuration (float Replay, the same batch path and memo with the
+	// float network on the misses) by the same per-dependence term. Both
+	// are measured from back-to-back attempts (best ratio of three
+	// rounds, each timing the per-dependence term, quant and float), so
+	// machine-speed drift during the run moves every term of a round
+	// together instead of skewing the ratios.
 	QuantSpeedup float64 `json:"quant_speedup"`
-	// QuantFloor is the minimum QuantSpeedup the kernel must sustain;
-	// CI greps for QuantOK, so a regression below the floor fails the
-	// build rather than silently eroding.
-	QuantFloor float64 `json:"quant_floor"`
-	QuantOK    bool    `json:"quant_speedup_ok"`
+	// QuantFloor and FloatFloor are the minimum speedups the batch path
+	// must sustain in each precision; CI greps for QuantOK and FloatOK,
+	// so a regression below a floor fails the build rather than
+	// silently eroding.
+	QuantFloor   float64 `json:"quant_floor"`
+	QuantOK      bool    `json:"quant_speedup_ok"`
+	FloatSpeedup float64 `json:"float_speedup"`
+	FloatFloor   float64 `json:"float_floor"`
+	FloatOK      bool    `json:"float_speedup_ok"`
 	// Checkpoint overhead at the production cadence. One image costs
 	// CkptNsPerImage (encode + atomic fsync'd write, best of several
 	// samples); between images the monitor replays CkptInterval records
@@ -108,19 +117,31 @@ func pipelineTracker(threads int, quant bool) *core.Tracker {
 	return core.NewTracker(binary, core.TrackerConfig{Module: cfg})
 }
 
+// pipelineConfig is one way of replaying the bench trace.
+type pipelineConfig struct {
+	name     string
+	parallel bool
+	quant    bool
+	// perDep feeds the records through Tracker.OnRecord instead of a
+	// replay call: Module.OnDep on every dependence, no batch path and
+	// no memo — the float term of the asserted speedups.
+	perDep bool
+	ck     core.CheckpointConfig
+}
+
 // runPipeline replays the trace on a fresh tracker for at least
 // minPasses passes AND at least minDur of wall time, returning the row
 // for one configuration. The duration floor matters more than the pass
 // count: the fastest configurations replay this trace in tens of
 // microseconds, and a sub-millisecond timing window turns scheduler
 // jitter into 2× swings in the ratios CI asserts on.
-func runPipeline(tr *trace.Trace, threads, minPasses int, minDur time.Duration, parallel, quant bool, ck core.CheckpointConfig) PipelineRow {
-	t := pipelineTracker(threads, quant)
+func runPipeline(tr *trace.Trace, threads, minPasses int, minDur time.Duration, c pipelineConfig) PipelineRow {
+	t := pipelineTracker(threads, c.quant)
 	// Warm-up pass: module creation, lazy buffers, map growth.
 	t.Replay(tr)
 
 	var par *core.ParallelConfig
-	if parallel {
+	if c.parallel {
 		par = &core.ParallelConfig{}
 	}
 	var ms0, ms1 runtime.MemStats
@@ -129,13 +150,18 @@ func runPipeline(tr *trace.Trace, threads, minPasses int, minDur time.Duration, 
 	start := time.Now()
 	passes := 0
 	for passes < minPasses || time.Since(start) < minDur {
-		if ck.Path != "" {
-			if _, err := t.ReplayCheckpointed(tr, par, ck); err != nil {
+		switch {
+		case c.ck.Path != "":
+			if _, err := t.ReplayCheckpointed(tr, par, c.ck); err != nil {
 				panic(err) // temp-dir write failure; not a measurement
 			}
-		} else if parallel {
+		case c.perDep:
+			for _, r := range tr.Records {
+				t.OnRecord(r)
+			}
+		case c.parallel:
 			t.ReplayParallel(tr, core.ParallelConfig{})
-		} else {
+		default:
 			t.Replay(tr)
 		}
 		passes++
@@ -165,8 +191,9 @@ func runPipeline(tr *trace.Trace, threads, minPasses int, minDur time.Duration, 
 // Pipeline measures the six pipeline configurations on the same trace
 // in one run: sequential and parallel replay, each in float, with the
 // quantized int16 batch kernel, and checkpointing.
-// Speedups are relative to the plain sequential row, and the
-// sequential+quant ratio is asserted against QuantFloor.
+// Row speedups are relative to the plain sequential row; the asserted
+// sequential+quant and sequential ratios are taken against
+// per-dependence float classification (see QuantSpeedup).
 func Pipeline(m Mode) (*PipelineReport, error) {
 	tr, passes := pipelineTrace(m)
 	threads := 4
@@ -182,26 +209,23 @@ func Pipeline(m Mode) (*PipelineReport, error) {
 		Path:     filepath.Join(ckptDir, "bench.ckpt"),
 		Interval: max(1, len(tr.Records)/4),
 	}
-	configs := []struct {
-		name     string
-		parallel bool
-		quant    bool
-		ck       core.CheckpointConfig
-	}{
-		{"sequential", false, false, core.CheckpointConfig{}},
-		{"parallel", true, false, core.CheckpointConfig{}},
-		{"sequential+quant", false, true, core.CheckpointConfig{}},
-		{"parallel+quant", true, true, core.CheckpointConfig{}},
-		{"sequential+ckpt", false, false, rowCk},
-		{"parallel+ckpt", true, false, rowCk},
+	seqFloat := pipelineConfig{name: "sequential"}
+	seqQuant := pipelineConfig{name: "sequential+quant", quant: true}
+	configs := []pipelineConfig{
+		seqFloat,
+		{name: "parallel", parallel: true},
+		seqQuant,
+		{name: "parallel+quant", parallel: true, quant: true},
+		{name: "sequential+ckpt", ck: rowCk},
+		{name: "parallel+ckpt", parallel: true, ck: rowCk},
 	}
-	rep := &PipelineReport{Workload: "radix", QuantFloor: 3.0}
+	rep := &PipelineReport{Workload: "radix", QuantFloor: 3.0, FloatFloor: 3.0}
 	for _, c := range configs {
 		// Best of three runs, like the obs experiment: the asserted
 		// ratios are about systematic cost, not scheduler jitter.
 		var row PipelineRow
 		for i := 0; i < 3; i++ {
-			r := runPipeline(tr, threads, passes, pipelineMinDur(m), c.parallel, c.quant, c.ck)
+			r := runPipeline(tr, threads, passes, pipelineMinDur(m), c)
 			if r.RecordsPerSec > row.RecordsPerSec {
 				row = r
 			}
@@ -215,19 +239,22 @@ func Pipeline(m Mode) (*PipelineReport, error) {
 			rep.Rows[i].Speedup = rep.Rows[i].RecordsPerSec / base
 		}
 	}
-	// The asserted ratio comes from paired attempts, not the table rows:
-	// each pair times float then quant back to back, so a slow stretch
-	// of the machine slows both terms instead of faking a regression.
+	// The asserted ratios come from back-to-back attempts, not the table
+	// rows: each round times the per-dependence term, then quant, then
+	// float, so a slow stretch of the machine slows every term instead
+	// of faking a regression.
+	perDep := pipelineConfig{name: "per-dependence", perDep: true}
 	for i := 0; i < 3; i++ {
-		f := runPipeline(tr, threads, passes, pipelineMinDur(m), false, false, core.CheckpointConfig{})
-		q := runPipeline(tr, threads, passes, pipelineMinDur(m), false, true, core.CheckpointConfig{})
-		if f.RecordsPerSec > 0 {
-			if r := q.RecordsPerSec / f.RecordsPerSec; r > rep.QuantSpeedup {
-				rep.QuantSpeedup = r
-			}
+		d := runPipeline(tr, threads, passes, pipelineMinDur(m), perDep)
+		q := runPipeline(tr, threads, passes, pipelineMinDur(m), seqQuant)
+		f := runPipeline(tr, threads, passes, pipelineMinDur(m), seqFloat)
+		if d.RecordsPerSec > 0 {
+			rep.QuantSpeedup = max(rep.QuantSpeedup, q.RecordsPerSec/d.RecordsPerSec)
+			rep.FloatSpeedup = max(rep.FloatSpeedup, f.RecordsPerSec/d.RecordsPerSec)
 		}
 	}
 	rep.QuantOK = rep.QuantSpeedup >= rep.QuantFloor
+	rep.FloatOK = rep.FloatSpeedup >= rep.FloatFloor
 
 	if err := measureCkptOverhead(rep, tr, threads); err != nil {
 		return nil, err
@@ -287,25 +314,25 @@ func RenderPipeline(rep *PipelineReport) string {
 		out = append(out, fmt.Sprintf("%s\t%.0f\t%.1f\t%.3f\t%.2fx",
 			r.Config, r.RecordsPerSec, r.NsPerDep, r.AllocsPerDep, r.Speedup))
 	}
-	ok := "FAIL"
-	if rep.QuantOK {
-		ok = "ok"
-	}
-	ckOK := "FAIL"
-	if rep.CkptOK {
-		ckOK = "ok"
+	verdict := func(ok bool) string {
+		if ok {
+			return "ok"
+		}
+		return "FAIL"
 	}
 	return table("Config\tRecords/s\tns/dep\tAllocs/dep\tSpeedup", out) +
 		fmt.Sprintf("(workload %s, %d threads, GOMAXPROCS=%d; speedup vs sequential\n"+
 			" in the same run; parallel gains require GOMAXPROCS > 1;\n"+
 			" +ckpt rows fsync 4 images per pass — see ckpt overhead below\n"+
 			" for the production cadence)\n"+
-			"quant speedup %.2fx (floor %.1fx: %s)\n"+
+			"quant speedup %.2fx (floor %.1fx: %s), float speedup %.2fx (floor %.1fx: %s)\n"+
+			" (vs per-dependence float classification, Tracker.OnRecord)\n"+
 			"ckpt overhead %.3f%% (%.0fµs/image, %d B, every %d records; ceil %.0f%%: %s)\n",
 			rep.Workload, rep.Rows[0].Threads, rep.Rows[0].GOMAXPROCS,
-			rep.QuantSpeedup, rep.QuantFloor, ok,
+			rep.QuantSpeedup, rep.QuantFloor, verdict(rep.QuantOK),
+			rep.FloatSpeedup, rep.FloatFloor, verdict(rep.FloatOK),
 			100*rep.CkptOverhead, rep.CkptNsPerImage/1e3, rep.CkptBytes,
-			rep.CkptInterval, 100*rep.CkptCeil, ckOK)
+			rep.CkptInterval, 100*rep.CkptCeil, verdict(rep.CkptOK))
 }
 
 // MarshalPipeline renders the report as the BENCH_pipeline.json bytes.

@@ -208,7 +208,11 @@ func traceIdentity(tr *trace.Trace) uint64 {
 
 // cfgFingerprint hashes every configuration knob that influences replay
 // observables. Two deployments with equal fingerprints, seeds, and
-// traces replay identically; resume refuses mismatches.
+// traces replay identically; resume refuses mismatches. The sigmoid
+// table enters by its shape (range and entry count, which determine
+// every entry), the encoder by its output on encoderProbe: a function
+// has no identity to hash, but two encoders that disagree there cannot
+// be the same classifier input.
 func (t *Tracker) cfgFingerprint() uint64 {
 	c := t.cfg
 	h := ckptFNVOffset
@@ -218,10 +222,28 @@ func (t *Tracker) cfgFingerprint() uint64 {
 		math.Float64bits(c.MispredThreshold), uint64(int64(c.RecoveryWindows)),
 		math.Float64bits(c.SaturationEps), b2u64(c.Quantized),
 		t.tcfg.Granularity, b2u64(t.tcfg.FilterStack),
+		math.Float64bits(c.LUT.Range), uint64(c.LUT.Entries),
 	} {
 		h = ckptMix(h, x)
 	}
+	x := c.Encoder(encoderProbe(c.N), nil)
+	h = ckptMix(h, uint64(len(x)))
+	for _, v := range x {
+		h = ckptMix(h, math.Float64bits(v))
+	}
 	return h
+}
+
+// encoderProbe is the fixed n-dependence sequence cfgFingerprint
+// encodes: distinct store and load sites in every position, both
+// labels.
+func encoderProbe(n int) deps.Sequence {
+	s := make(deps.Sequence, n)
+	for i := range s {
+		k := uint64(i + 1)
+		s[i] = deps.Dep{S: 0x400000 + 0x1f3*k, L: 0x500000 + 0x2e7*k, Inter: i%2 == 0}
+	}
+	return s
 }
 
 func b2u64(b bool) uint64 {

@@ -7,11 +7,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"act/internal/deps"
+	"act/internal/nn"
 	"act/internal/pipeline"
 	"act/internal/trace"
 )
@@ -238,5 +241,64 @@ func TestReplayCheckpointedLenientOnCorruptFile(t *testing.T) {
 	full.Replay(tr)
 	if !reflect.DeepEqual(full.DebugBuffers(), tk.DebugBuffers()) {
 		t.Fatalf("fresh-after-corrupt run diverges from plain replay")
+	}
+}
+
+// TestReplayCheckpointedRefusesOtherClassifier resumes a checkpoint
+// taken under the default sigmoid table and encoder on trackers that
+// classify differently — another table, or a custom encoder of the same
+// width — and expects a fresh replay with the fingerprint reason: a run
+// must not finish under a different classifier than it started with.
+func TestReplayCheckpointedRefusesOtherClassifier(t *testing.T) {
+	tr := randTrace(31, 3, 3000)
+	nIn := deps.InputLen(deps.EncodeDefault, 2)
+	base := TrackerConfig{Module: Config{N: 2, CheckInterval: 100, Quantized: true}, Seed: 3}
+	path := filepath.Join(t.TempDir(), "classifier.ckpt")
+	src := NewTracker(NewWeightBinary(nIn, 6), base)
+	if _, err := src.ReplayCheckpointed(tr, nil, CheckpointConfig{Path: path, Interval: 1000, AbortAfter: 1}); !errors.Is(err, ErrReplayAborted) {
+		t.Fatalf("want ErrReplayAborted, got %v", err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	inverted := func(s deps.Sequence, dst []float64) []float64 {
+		x := deps.EncodeDefault(s, dst)
+		for i := range x {
+			x[i] = 1 - x[i]
+		}
+		return x
+	}
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"lut", func(c *Config) { c.LUT = nn.NewSigmoidLUT(200, 7) }},
+		{"encoder", func(c *Config) { c.Encoder = inverted }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Each resume gets its own copy: a refused resume replays
+			// fresh and overwrites the file with its own final image.
+			path := filepath.Join(t.TempDir(), "classifier.ckpt")
+			if err := pipeline.WriteCheckpoint(path, img); err != nil {
+				t.Fatal(err)
+			}
+			cfg := base
+			tc.mod(&cfg.Module)
+			tk := NewTracker(NewWeightBinary(nIn, 6), cfg)
+			st, err := tk.ReplayCheckpointed(tr, nil, CheckpointConfig{Path: path, Interval: 1 << 30, Resume: true})
+			if err != nil {
+				t.Fatalf("lenient resume errored: %v", err)
+			}
+			if st.Resumed || !strings.Contains(st.Reason, "fingerprint mismatch") {
+				t.Fatalf("resume under another classifier: %+v, want a fresh run with the fingerprint reason", st)
+			}
+			full := NewTracker(NewWeightBinary(nIn, 6), cfg)
+			full.Replay(tr)
+			if !reflect.DeepEqual(full.DebugBuffers(), tk.DebugBuffers()) || full.Stats() != tk.Stats() {
+				t.Fatal("fresh-after-refusal run diverges from plain replay")
+			}
+		})
 	}
 }

@@ -87,10 +87,11 @@ type Config struct {
 	// nonlinearity — recompiled lazily whenever the weight generation
 	// moves (training step, recovery, rollback, LoadWeights) and falling
 	// back to float inference when compilation is impossible (non-finite
-	// weights). Batch entry points (OnDeps, the fanout workers, staged
-	// Replay) then classify runs of dependences with one kernel call.
-	// Training always runs in float: backpropagation needs the real
-	// gradients.
+	// weights). It changes only the network the batch path (OnDeps, the
+	// fanout workers, staged Replay) runs on the windows its memo
+	// misses, one kernel call per chunk; the memo serves both
+	// precisions. Training always runs in float: backpropagation needs
+	// the real gradients.
 	Quantized bool
 }
 
@@ -327,20 +328,23 @@ type Module struct {
 	// qnet is the kernel compiled for weight generation qgen; qbad
 	// remembers a failed compile for generation qbadGen so a poisoned
 	// weight state falls back to float without retrying per dependence.
-	// qdeps/qfeat/qouts are the grow-once batch staging slabs. qmemo is
-	// the generation-stamped window memo the batch path consults before
-	// encoding (see quant.go); qhash/qmiss are its per-chunk scratch.
 	qnet    *nn.QNetwork
 	qgen    uint64
 	qbad    bool
 	qbadGen uint64
-	qdeps   []deps.Dep
-	qfeat   []float64
-	qouts   []float64
-	qmemo   qmemo
-	qhash   []uint64
-	qmiss   []int32
-	qmouts  []float64
+
+	// Batch classification state (OnDeps, either precision; see
+	// quant.go): memo is the generation-stamped window memo consulted
+	// before encoding; bdeps is the history/batch boundary buffer and
+	// bhash, bmiss, bfeat, bouts, bmouts the per-chunk scratch, each
+	// grown to the chunk and miss counts seen.
+	memo   windowMemo
+	bdeps  []deps.Dep
+	bhash  []uint64
+	bmiss  []int32
+	bfeat  []float64
+	bouts  []float64
+	bmouts []float64
 
 	stats moduleStats
 }
@@ -394,19 +398,25 @@ func (m *Module) Config() Config { return m.cfg }
 
 // Network exposes the underlying network (for weight save/restore).
 // A caller that mutates weights through it must call InvalidateVerdicts
-// afterwards, or a quantized module may classify with a kernel and
-// memoized verdicts compiled from the old weights.
+// afterwards, or the module — in either precision — may serve memoized
+// verdicts computed under the old weights (and, when Quantized, classify
+// with a kernel compiled from them).
 func (m *Module) Network() *nn.Network { return m.net }
 
-// InvalidateVerdicts orphans the compiled kernel and the window memo —
-// required after mutating weights directly through Network() (fault
-// injection, external quantization) when Quantized is set.
+// InvalidateVerdicts orphans the window memo and the compiled kernel by
+// moving the weight generation — required after mutating weights
+// directly through Network() (fault injection, external quantization),
+// whatever the module's precision.
 func (m *Module) InvalidateVerdicts() { m.gen.Add(1) }
 
 // OnDep processes one RAW dependence: it enters the Input Generator
 // Buffer, the last N dependences form the network input, and the
 // sequence is classified. It returns whether a full sequence was formed
 // and, if so, whether it was predicted invalid.
+//
+// OnDep runs the network on every dependence, with no memo: it is the
+// path of training mode, Tracker.OnRecord and the timing simulator, and
+// the reference the batch path (OnDeps) must match bit for bit.
 //
 // The steady-state path is allocation-free (TestOnDepSteadyStateAllocs
 // pins it dynamically; the annotation pins it statically).

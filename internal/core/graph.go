@@ -4,8 +4,9 @@
 // ReplayParallel (tracker.go, parallel.go) are thin wrappers over it.
 // The trace drives an "extract" node inline on the caller's goroutine —
 // last-writer resolution cannot be parallelized, and inline placement
-// keeps sequential replay free of scheduling overhead — while parallel
-// mode adds per-module "classify" workers fed over the deps.Fanout.
+// keeps sequential replay free of scheduling overhead and, warm, of
+// allocation — while parallel mode builds a graph and adds per-module
+// "classify" workers fed over the deps.Fanout.
 //
 // At checkpoint boundaries the engine quiesces classification (staged
 // buffers flushed sequentially; Flush + Barrier + Wait in parallel
@@ -159,13 +160,12 @@ func (t *Tracker) ReplayCheckpointed(tr *trace.Trace, par *ParallelConfig, ck Ch
 		}
 	}
 
-	run := &ckptRun{cfg: ck.withDefaults(), last: start}
-	g := pipeline.New("replay")
+	run := ckptRun{cfg: ck.withDefaults(), last: start}
 	var err error
 	if par != nil {
-		err = t.replayPar(g, tr, start, *par, run)
+		err = t.replayPar(tr, start, *par, &run)
 	} else {
-		err = t.replaySeq(g, tr, start, run)
+		err = t.replaySeq(tr, start, &run)
 	}
 	if err == nil && run.cfg.Path != "" && !(st.Resumed && start == len(tr.Records)) {
 		err = run.write(t, tr, len(tr.Records))
@@ -174,16 +174,16 @@ func (t *Tracker) ReplayCheckpointed(tr *trace.Trace, par *ParallelConfig, ck Ch
 	return st, err
 }
 
-// replaySeq is the sequential driver: the extract node runs inline and
-// classification happens through the per-module staging buffers, same
-// as the historical Replay loop. Checkpoint boundaries flush the
-// staging buffers first — batch boundaries are invisible to modules, so
-// the flush changes no observable.
-func (t *Tracker) replaySeq(g *pipeline.Graph, tr *trace.Trace, start int, run *ckptRun) error {
-	n := g.Node("extract")
-	return g.Run(n, func() error {
+// replaySeq is the sequential driver: the extract node runs inline,
+// with no graph (there are no workers to supervise), and classification
+// happens through the per-module staging buffers, same as the
+// historical Replay loop. A warm call allocates nothing. Checkpoint
+// boundaries flush the staging buffers first — batch boundaries are
+// invisible to modules, so the flush changes no observable.
+func (t *Tracker) replaySeq(tr *trace.Trace, start int, run *ckptRun) error {
+	return pipeline.Stage("extract").Run("replay", func() error {
 		prev := t.ext.OnDep
-		t.ext.OnDep = t.stageDep
+		t.ext.OnDep = t.stageFn
 		defer func() { t.ext.OnDep = prev }()
 		recs := tr.Records
 		for i := start; i < len(recs); i++ {
@@ -206,10 +206,12 @@ func (t *Tracker) replaySeq(g *pipeline.Graph, tr *trace.Trace, start int, run *
 // state; the streams stay up and the workers resume as soon as the
 // producer pushes again. On any driver error the fan-out is still
 // closed and the workers joined before returning — no goroutine
-// outlives the call.
-func (t *Tracker) replayPar(g *pipeline.Graph, tr *trace.Trace, start int, cfg ParallelConfig, run *ckptRun) error {
-	cls := g.Node("classify")
-	fo := deps.NewFanout(deps.FanoutConfig{Batch: cfg.Batch, Depth: cfg.Depth},
+// outlives the call. The batch buffers go back to the tracker's pool for
+// the next call.
+func (t *Tracker) replayPar(tr *trace.Trace, start int, cfg ParallelConfig, run *ckptRun) error {
+	g := pipeline.New("replay")
+	cls := pipeline.Stage("classify")
+	fo := deps.NewFanout(deps.FanoutConfig{Batch: cfg.Batch, Depth: cfg.Depth, Pool: &t.fanPool},
 		func(tid uint16, s *deps.FanStream) {
 			// Runs in the extract stage on a thread's first dependence, so
 			// module creation order — and therefore default-weight seeding —
@@ -227,7 +229,7 @@ func (t *Tracker) replayPar(g *pipeline.Graph, tr *trace.Trace, start int, cfg P
 				}
 			})
 		})
-	ext := g.Node("extract")
+	ext := pipeline.Stage("extract")
 	err := g.Run(ext, func() error {
 		prev := t.ext.OnDep
 		t.ext.OnDep = fo.Push
@@ -253,6 +255,7 @@ func (t *Tracker) replayPar(g *pipeline.Graph, tr *trace.Trace, start int, cfg P
 	if werr := g.Wait(); err == nil {
 		err = werr
 	}
+	fo.Recycle()
 	return err
 }
 

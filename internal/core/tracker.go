@@ -125,10 +125,17 @@ type Tracker struct {
 
 	// stage holds Replay's per-module staging buffers, indexed by tid:
 	// sequential replay hands dependences to OnDeps in runs of up to
-	// stageBatch so the batched fixed-point kernel amortizes dispatch.
+	// stageBatch so the batch path amortizes its probes and dispatch.
 	// Buffers are allocated once per module and reused across Replay
+	// calls. stageFn is the stageDep method value, bound once so that
+	// installing it as the extractor's sink on every Replay allocates
+	// nothing.
+	stage   [][]deps.Dep
+	stageFn func(tid uint16, d deps.Dep)
+
+	// fanPool keeps ReplayParallel's fan-out batch buffers between
 	// calls.
-	stage [][]deps.Dep
+	fanPool deps.BatchPool
 }
 
 // TrackerConfig bundles deployment parameters.
@@ -161,6 +168,7 @@ func NewTracker(binary *WeightBinary, cfg TrackerConfig) *Tracker {
 	t.ext.OnDep = func(tid uint16, d deps.Dep) {
 		t.moduleAt(int(tid)).OnDep(d)
 	}
+	t.stageFn = t.stageDep
 	return t
 }
 
@@ -235,7 +243,8 @@ func (t *Tracker) snapshotModules() []*Module {
 }
 
 // OnRecord feeds one memory-trace record through last-writer tracking;
-// loads that close a dependence reach the owning module.
+// loads that close a dependence reach the owning module's OnDep at
+// once, classified on their own with no memo.
 func (t *Tracker) OnRecord(r trace.Record) {
 	if r.Store {
 		t.ext.Store(r.Tid, r.PC, r.Addr, r.Stack)
@@ -247,7 +256,8 @@ func (t *Tracker) OnRecord(r trace.Record) {
 // stageBatch is sequential Replay's per-module staging depth. Each
 // module still observes exactly its own dependence stream in order —
 // OnDeps makes the batch boundary invisible — so staging changes no
-// observable; it only lets the quantized kernel classify runs per call.
+// observable; it only lets the batch path probe the memo and classify
+// runs per call.
 const stageBatch = 256
 
 // stageDep buffers one formed dependence, draining the module's buffer
@@ -287,7 +297,7 @@ func (t *Tracker) flushStaged() {
 // formed dependences per module (see stageBatch). See ReplayParallel
 // for the pipelined equivalent and ReplayCheckpointed — which this is a
 // thin wrapper over — for checkpoint/resume; OnRecord remains the
-// unstaged immediate path.
+// unstaged immediate path. A warm call allocates nothing.
 func (t *Tracker) Replay(tr *trace.Trace) {
 	t.mustReplay(tr, nil)
 }

@@ -298,6 +298,7 @@ func (p *Pipeline) arm(b workloads.Bug, kind Kind, rate float64, seed int64) Row
 		seu = func(r trace.Record, m *core.Module) {
 			if in.rng.Float64() < rate {
 				in.FlipWeightBit(m.Network())
+				m.InvalidateVerdicts()
 				row.Flips++
 			}
 		}

@@ -102,6 +102,31 @@ func (n *Network) Forward(x []float64) float64 {
 		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), n.NIn))
 	}
 	statForward.Inc()
+	return n.forward(x)
+}
+
+// ForwardWindows classifies len(outs) windows packed densely in a
+// feature slab: window k's input is feat[k·NIn : (k+1)·NIn]. It is the
+// float twin of QNetwork.ForwardWindows — Forward's arithmetic per
+// window, bit for bit, with the forward-pass counter batched.
+//
+//act:noalloc
+func (n *Network) ForwardWindows(feat, outs []float64) {
+	nin := n.NIn
+	if len(outs)*nin > len(feat) {
+		//act:alloc-ok slab-shape panic, cold guard
+		panic(fmt.Sprintf("nn: slab of %d too short for %d windows of %d", len(feat), len(outs), nin))
+	}
+	statForward.Add(uint64(len(outs)))
+	for k := range outs {
+		outs[k] = n.forward(feat[k*nin : (k+1)*nin])
+	}
+}
+
+// forward is one pass over an input of width NIn, uncounted.
+//
+//act:noalloc
+func (n *Network) forward(x []float64) float64 {
 	act := n.Act
 	if act == nil {
 		act = Sigmoid

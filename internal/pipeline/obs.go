@@ -5,10 +5,10 @@ import "act/internal/obs"
 // Package-level instruments on the process-wide registry, following the
 // act_fanout_* precedent: always-on, registered at init, zero cost when
 // nobody scrapes. Per-stage latency histograms are registered lazily by
-// Graph.Node under act_pipeline_<stage>_ns.
+// Stage under act_pipeline_<stage>_ns, once per stage name.
 var (
 	statNodes = obs.Default.Counter("act_pipeline_nodes_total",
-		"pipeline stage nodes registered")
+		"pipeline stage nodes registered, one per stage name")
 	statQueueDepth = obs.Default.Gauge("act_pipeline_queue_depth",
 		"items buffered across all pipeline edges")
 	statCkptWrites = obs.Default.Counter("act_pipeline_checkpoints_total",

@@ -9,11 +9,12 @@
 // The engine makes two deliberate departures from a conventional
 // worker-pool scheduler:
 //
-//   - The driver node runs inline on the caller's goroutine (Graph.Run).
-//     Sequential replay through the graph is therefore exactly the old
-//     loop — no goroutine hop, no channel per record — which is what
-//     keeps the quantized-kernel speedup the bench asserts from being
-//     diluted by scheduling overhead on microsecond-scale traces.
+//   - The driver node runs inline on the caller's goroutine (Graph.Run,
+//     or Node.Run with no graph at all). Sequential replay is therefore
+//     exactly the old loop — no goroutine hop, no channel per record,
+//     no allocation per call — which is what keeps the batch path's
+//     speedup from being diluted by per-call overhead on
+//     microsecond-scale traces.
 //   - Nodes may be spawned while the graph is running (Graph.Go): the
 //     per-module classification nodes only exist once their thread
 //     produces a dependence, mirroring the paper's one-AM-per-processor
@@ -52,26 +53,41 @@ func New(name string) *Graph {
 	return &Graph{name: name, done: make(chan struct{})}
 }
 
-// Node is one named stage. Creating a Node does not start anything —
-// the caller either runs work through it inline (Graph.Run) or spawns
-// workers on it (Graph.Go). Several workers may share one Node: the
-// per-module classification workers are all the "classify" stage.
+// Node is one named stage, obtained from Stage. A Node starts nothing —
+// the caller either runs work through it inline (Graph.Run, Node.Run)
+// or spawns workers on it (Graph.Go). Several workers may share one
+// Node: the per-module classification workers are all the "classify"
+// stage.
 type Node struct {
-	g    *Graph
 	name string
 	lat  *obs.Histogram
 }
 
-// Node registers a named stage and its latency histogram
-// (act_pipeline_<name>_ns on the process-wide registry; registration is
-// idempotent, so graphs built per replay share the series).
-func (g *Graph) Node(name string) *Node {
-	statNodes.Inc()
-	return &Node{
-		g:    g,
-		name: name,
-		lat:  obs.Default.Histogram("act_pipeline_"+name+"_ns", "pipeline stage latency per unit of work, stage "+name),
+// stageNodes holds one Node per stage name, shared by every graph and
+// inline driver, so a replay looks its stages up instead of building
+// them.
+var stageNodes = struct {
+	mu sync.Mutex
+	m  map[string]*Node // guarded by mu
+}{m: make(map[string]*Node)}
+
+// Stage returns the node for the named stage, registering it and its
+// latency histogram (act_pipeline_<name>_ns on the process-wide
+// registry) on first use. Later calls return the same node: a lookup
+// allocates nothing.
+func Stage(name string) *Node {
+	stageNodes.mu.Lock()
+	defer stageNodes.mu.Unlock()
+	n := stageNodes.m[name]
+	if n == nil {
+		statNodes.Inc()
+		n = &Node{
+			name: name,
+			lat:  obs.Default.Histogram("act_pipeline_"+name+"_ns", "pipeline stage latency per unit of work, stage "+name),
+		}
+		stageNodes.m[name] = n
 	}
+	return n
 }
 
 // Span starts a latency measurement against the node's stage histogram.
@@ -82,15 +98,26 @@ func (g *Graph) Node(name string) *Node {
 //act:noalloc
 func (n *Node) Span() obs.Span { return obs.StartSpan(n.lat) }
 
-// Run executes fn as the node's work on the calling goroutine — the
-// driver placement. The error, if any, is recorded as the graph's
-// failure and returned.
-func (g *Graph) Run(n *Node, fn func() error) error {
+// Run executes fn as the node's work on the calling goroutine, outside
+// any graph — the placement of a driver that spawns no workers, such as
+// sequential replay. An error is wrapped as "<graph>/<node>: ...", the
+// same text Graph.Run produces.
+func (n *Node) Run(graph string, fn func() error) error {
 	sp := n.Span()
 	err := fn()
 	sp.End()
 	if err != nil {
-		err = fmt.Errorf("%s/%s: %w", g.name, n.name, err)
+		err = fmt.Errorf("%s/%s: %w", graph, n.name, err)
+	}
+	return err
+}
+
+// Run executes fn as the node's work on the calling goroutine — the
+// driver placement. The error, if any, is recorded as the graph's
+// failure and returned.
+func (g *Graph) Run(n *Node, fn func() error) error {
+	err := n.Run(g.name, fn)
+	if err != nil {
 		g.fail(err)
 	}
 	return err

@@ -13,7 +13,7 @@ func TestGraphEdgePipeline(t *testing.T) {
 	g := New("test")
 	edge := NewEdge[int](g, 4)
 	sum, done := 0, make(chan struct{})
-	g.Go(g.Node("consume"), func() error {
+	g.Go(Stage("consume"), func() error {
 		defer close(done)
 		for {
 			v, ok := edge.Recv()
@@ -23,7 +23,7 @@ func TestGraphEdgePipeline(t *testing.T) {
 			sum += v
 		}
 	})
-	drv := g.Node("produce")
+	drv := Stage("produce")
 	if err := g.Run(drv, func() error {
 		for i := 1; i <= 100; i++ {
 			if !edge.Send(i) {
@@ -51,7 +51,7 @@ func TestGraphFailureUnblocksSenders(t *testing.T) {
 		t.Fatal("Send failed on a healthy graph")
 	}
 	boom := errors.New("boom")
-	g.Go(g.Node("dead"), func() error { return boom })
+	g.Go(Stage("dead"), func() error { return boom })
 	if err := g.Wait(); !errors.Is(err, boom) {
 		t.Fatalf("Wait() = %v, want wrapped boom", err)
 	}
@@ -68,7 +68,7 @@ func TestGraphFailureUnblocksSenders(t *testing.T) {
 func TestGraphRunWrapsError(t *testing.T) {
 	g := New("replay")
 	base := errors.New("disk full")
-	err := g.Run(g.Node("extract"), func() error { return base })
+	err := g.Run(Stage("extract"), func() error { return base })
 	if !errors.Is(err, base) {
 		t.Fatalf("err = %v", err)
 	}

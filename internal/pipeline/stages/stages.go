@@ -83,7 +83,7 @@ func Run(t *core.Tracker, tr *trace.Trace, correct *deps.SeqSet, cfg Config) (*R
 	}
 
 	g := pipeline.New("diagnose")
-	collect, rank, analyze := g.Node("collect"), g.Node("rank"), g.Node("rca")
+	collect, rank, analyze := pipeline.Stage("collect"), pipeline.Stage("rank"), pipeline.Stage("rca")
 
 	if err := g.Run(collect, func() error {
 		res.Debug = t.DebugBuffers()
